@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_tol
 
 __all__ = ["log_sum", "force_sum", "energy_sum", "DEFAULT_MAX_POINTS"]
 
@@ -47,10 +47,13 @@ def _kernel_energy(n: int, r: np.ndarray) -> np.ndarray:
         return r * em / (1.0 - em)
 
 
-def _cutoff_radius(bound_a: float, k_pow: int, lattice_factor: float, target: float, r1: float) -> float:
-    # solve A R^k exp(-R/2) P = target for R by fixed point; +2 safety margin
+def _cutoff_radius(bound_a: float, k_pow: int, lattice_factor: float, tol: float, first: float,
+                   r1: float) -> float:
+    # solve A R^k exp(-R/2) P = tol * first for R by fixed point; +2 safety
+    # margin.  Summed as logs: at low temperature first can be subnormal and
+    # tol * first underflow to 0.
     radius = max(60.0, r1 + 10.0)
-    log_ap = math.log(bound_a * lattice_factor / target)
+    log_ap = math.log(bound_a) + math.log(lattice_factor) - math.log(tol) - math.log(first)
     for _ in range(40):
         radius = 2.0 * (log_ap + k_pow * math.log(max(radius, 2.0)))
         radius = max(radius, 10.0)
@@ -65,6 +68,14 @@ def _lattice_factor(betas: tuple[float, ...]) -> float:
     return out
 
 
+def _over_budget(est_points: float, max_points: int, tol: float) -> ConvergenceError:
+    return ConvergenceError(
+        "box mode sum", reached=math.inf, requested=tol,
+        message=f"box mode sum: tolerance {tol:.3e} needs about {est_points:.3e} lattice points, "
+        f"budget {max_points}",
+    )
+
+
 def _sum_triple(betas, kernel, bound_a, k_pow, tol, max_points) -> float:
     b1, b2, b3 = betas
     r1 = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
@@ -73,10 +84,10 @@ def _sum_triple(betas, kernel, bound_a, k_pow, tol, max_points) -> float:
     first = abs(float(kernel(1, np.array([r1]))[0]))
     if first == 0.0:
         return 0.0
-    radius = _cutoff_radius(bound_a, k_pow, _lattice_factor(betas), tol * first, r1)
+    radius = _cutoff_radius(bound_a, k_pow, _lattice_factor(betas), tol, first, r1)
     est_points = 0.5236 * radius**3 / (b1 * b2 * b3)
     if est_points > max_points:
-        raise ConvergenceError("box mode sum", reached=est_points / max_points, requested=tol)
+        raise _over_budget(est_points, max_points, tol)
     r2cut = radius * radius
     slabs: list[float] = []
     n_max = int(math.sqrt(max(r2cut - b2 * b2 - b3 * b3, 0.0)) / b1)
@@ -109,10 +120,10 @@ def _sum_double(betas, kernel, bound_a, k_pow, tol, max_points) -> float:
     first = abs(float(kernel(1, np.array([r1]))[0]))
     if first == 0.0:
         return 0.0
-    radius = _cutoff_radius(bound_a, k_pow, _lattice_factor(betas), tol * first, r1)
+    radius = _cutoff_radius(bound_a, k_pow, _lattice_factor(betas), tol, first, r1)
     est_points = 0.7854 * radius**2 / (b1 * b2)
     if est_points > max_points:
-        raise ConvergenceError("box mode sum", reached=est_points / max_points, requested=tol)
+        raise _over_budget(est_points, max_points, tol)
     r2cut = radius * radius
     slabs: list[float] = []
     n_max = int(math.sqrt(max(r2cut - b2 * b2, 0.0)) / b1)
@@ -128,6 +139,7 @@ def _sum_double(betas, kernel, bound_a, k_pow, tol, max_points) -> float:
 
 
 def _dispatch(betas, kernel, bound_a, k_pow, tol, max_points):
+    check_tol(tol)
     betas = tuple(float(b) for b in betas)
     if any(not (math.isfinite(b) and b > 0.0) for b in betas):
         raise ValueError(f"reduced frequencies must be positive and finite, got {betas}")

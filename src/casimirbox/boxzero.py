@@ -19,6 +19,13 @@ in 1/m):
     E0_em     = -pi^2 b c/(720 a^3) - zeta(3) c/(16 pi b^2)
                 + (pi/48)(1/a + 1/b) + (pi/b) G(c/b) - (2/a) R(b/a, c/a)
 
+Each form holds for any assignment of the sides to (a, b, c), but G and
+R converge in a handful of terms only when their arguments are at least
+1, and slowly, losing digits, below that.  `e0` therefore sorts the sides
+ascending before evaluating, so every G and R argument is at least 1 and
+the result does not depend on the order the sides were given in.
+`e0_scalar` and `e0_em` evaluate in the slot order they are given.
+
 Truncations are justified by explicit geometric tail bounds on the
 exponential decay of the Bessel kernels; the summation order is fixed
 (rows for G, increasing ellipse radius for R) so results are deterministic.
@@ -32,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConvergenceError, DerivativeInstabilityError
+from .errors import ConvergenceError, DerivativeInstabilityError, check_tol
 from .specfun import PI, ZETA3, bessel_k
 
 __all__ = [
@@ -55,7 +62,6 @@ DEFAULT_TOL = 1e-10
 #: Default cap on the number of lattice points a single sum may visit.
 DEFAULT_MAX_TERMS = 5_000_000
 
-_RATIO_FLOOR = 1e-6
 _RATIO_CEIL = 1e6
 
 
@@ -71,11 +77,12 @@ class BoxGeometry:
         for name, v in (("a", self.a), ("b", self.b), ("c", self.c)):
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ValueError(f"side {name} must be a positive finite number, got {v!r}")
-        for name, ratio in (("b/a", self.b / self.a), ("c/a", self.c / self.a)):
-            if not (_RATIO_FLOOR <= ratio <= _RATIO_CEIL):
-                raise ValueError(
-                    f"aspect ratio {name} = {ratio:.3e} outside [{_RATIO_FLOOR}, {_RATIO_CEIL}]"
-                )
+        # longest over shortest side, so the check does not depend on side order
+        ratio = max(self.sides) / min(self.sides)
+        if ratio > _RATIO_CEIL:
+            raise ValueError(
+                f"aspect ratio {ratio:.3e} of longest to shortest side exceeds {_RATIO_CEIL}"
+            )
 
     @property
     def volume(self) -> float:
@@ -113,8 +120,7 @@ def lattice_g(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_T
     """
     if not (math.isfinite(z) and z > 0.0):
         raise ValueError(f"lattice_g requires z > 0, got {z!r}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     w = 2.0 * PI * z
     first = bessel_k(1.0, w)
     if first == 0.0:
@@ -189,8 +195,7 @@ def lattice_r(
     for name, v in (("z1", z1), ("z2", z2)):
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"lattice_r requires {name} > 0, got {v!r}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     rho_min = min(z1, z2)
     if 2.0 * PI * rho_min > 745.0:
         return 0.0
@@ -264,6 +269,9 @@ def e0_scalar(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
 
     E0 = -pi^2 bc/(1440 a^3) + zeta(3)(b+c)/(32 pi a^2) - pi/(96 a)
          - (pi/(2a))[G(b/a) + G(c/a)] - (1/a) R(b/a, c/a)
+
+    Evaluated in the slot order given.  With a the shortest side every
+    G and R argument is at least 1; `e0` arranges that.
     """
     a, b, c = geom.sides
     return math.fsum(
@@ -283,9 +291,10 @@ def e0_em(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
     E0 = -pi^2 bc/(720 a^3) - zeta(3) c/(16 pi b^2) + (pi/48)(1/a + 1/b)
          + (pi/b) G(c/b) - (2/a) R(b/a, c/a)
 
-    Evaluated exactly as written; the sides enter asymmetrically term by
-    term, but the total is invariant under permutations of (a, b, c) to
-    within the summation tolerance.
+    Evaluated in the slot order given.  The sides enter asymmetrically term
+    by term; the total is invariant under permutations of (a, b, c), but
+    only with a <= b <= c is every G and R argument at least 1, and the
+    sums fast and accurate.  `e0` sorts the sides that way.
     """
     a, b, c = geom.sides
     return math.fsum(
@@ -299,13 +308,23 @@ def e0_em(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
     )
 
 
-def e0(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL) -> float:
-    """Zero-temperature energy for the requested field kind."""
+def _e0_in_order(sides, field: FieldKind, tol: float) -> float:
+    """E0 from the closed form with the sides in the slots given."""
+    geom = BoxGeometry(*sides)
     if field is FieldKind.SCALAR_DIRICHLET:
         return e0_scalar(geom, tol)
     if field is FieldKind.ELECTROMAGNETIC:
         return e0_em(geom, tol)
     raise ValueError(f"unknown field kind {field!r}")
+
+
+def e0(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL) -> float:
+    """Zero-temperature energy for the requested field kind.
+
+    The closed form is evaluated with the sides in ascending order, so
+    the result is the same, bit for bit, for every order of the sides.
+    """
+    return _e0_in_order(sorted(geom.sides), field, tol)
 
 
 #: Relative step for the finite-difference force; two Richardson levels.
@@ -318,13 +337,18 @@ def e0_force_x(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL) ->
 
     Central differences in a with steps h and h/2, Richardson-extrapolated;
     raises DerivativeInstabilityError if the two levels disagree by more
-    than 1e-5 relative.
+    than 1e-5 relative.  The sides are sorted once, as in `e0`, and a is
+    varied in the slot it lands in, so all four evaluations use the same
+    arrangement of the closed form even where a +- h passes a neighbour.
     """
-    a, b, c = geom.sides
+    a = geom.a
     h = _FD_STEP * a
+    sides = sorted(geom.sides)
+    slot = sides.index(a)
 
     def energy(aa: float) -> float:
-        return e0(BoxGeometry(aa, b, c), field, tol)
+        sides[slot] = aa
+        return _e0_in_order(sides, field, tol)
 
     d1 = (energy(a + h) - energy(a - h)) / (2.0 * h)
     d2 = (energy(a + h / 2.0) - energy(a - h / 2.0)) / h

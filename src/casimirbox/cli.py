@@ -23,9 +23,9 @@ import sys
 
 import numpy as np
 
-from . import thermal, validate
+from . import thermal
 from .boxzero import BoxGeometry, FieldKind
-from .errors import ConvergenceError, DerivativeInstabilityError
+from .errors import ConvergenceError, DerivativeInstabilityError, check_tol
 from .plates import PlatesConfig, plates_free_energy, plates_pressure
 from .specfun import HBAR_C
 from .thermal import ThermalPoint
@@ -176,6 +176,10 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_validate(args, out) -> int:
+    # imported here: validate pulls in scipy.integrate and mpmath, which no
+    # other command needs
+    from . import validate
+
     results = validate.run_checks(args.filter)
     failed = 0
     for res in results:
@@ -200,8 +204,17 @@ def _add_box_args(p: argparse.ArgumentParser, with_temp: bool = True):
     _add_tol_args(p)
 
 
+def _tol(text: str) -> float:
+    try:
+        value = float(text)
+        check_tol(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _add_tol_args(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float, default=1e-10, help="relative series tolerance")
+    p.add_argument("--tol", type=_tol, default=1e-10, help="relative series tolerance")
     p.add_argument(
         "--max-shell",
         dest="max_shell",

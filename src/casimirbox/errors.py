@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the tolerance check."""
 
 from __future__ import annotations
+
+import math
 
 
 class CasimirBoxError(Exception):
@@ -11,12 +13,12 @@ class ConvergenceError(CasimirBoxError):
     """A series could not be driven below the requested tolerance within
     the allowed summation budget."""
 
-    def __init__(self, series: str, reached: float, requested: float):
+    def __init__(self, series: str, reached: float, requested: float, message: str | None = None):
         self.series = series
         self.reached = reached
         self.requested = requested
         super().__init__(
-            f"{series}: tail bound reached {reached:.3e}, requested {requested:.3e}"
+            message or f"{series}: tail bound reached {reached:.3e}, requested {requested:.3e}"
         )
 
 
@@ -32,3 +34,13 @@ class DerivativeInstabilityError(CasimirBoxError):
             f"{what}: Richardson levels disagree by {disagreement:.3e} "
             f"(relative), threshold {threshold:.3e}"
         )
+
+
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless tol is a finite positive number.
+
+    A NaN tolerance fails every `tail <= tol * ...` comparison, so a
+    series given one would never stop.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")

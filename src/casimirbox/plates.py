@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DerivativeInstabilityError
+from .errors import ConvergenceError, DerivativeInstabilityError, check_tol
 from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
 
 __all__ = ["PlatesConfig", "plates_free_energy", "plates_pressure", "T_SWITCH"]
@@ -155,8 +155,7 @@ def _free_energy_dual(cfg: PlatesConfig, tol: float) -> float:
 
 def plates_free_energy(cfg: PlatesConfig, tol: float = _DEFAULT_TOL) -> float:
     """Free energy per unit area [1/m^3]; -pi^2/(720 a^3) exactly at T = 0."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     if cfg.temperature == 0.0:
         return -(PI**2) / (720.0 * cfg.separation**3)
     if cfg.reduced_t >= T_SWITCH:

@@ -230,14 +230,21 @@ def free_energy(
     e0_ren = e0(geom, field, tol)
     if tp.temperature == 0.0:
         return EnergyBreakdown(e0_ren, 0.0, 0.0, 0.0, 0.0, e0_ren)
-    coeffs = subtraction_coeffs(geom, field)
-    kt = tp.kt
     raw = thermal_raw(geom, field, tp, tol, max_points)
-    bb_term = coeffs.bb_prefactor * kt**4 * geom.volume
-    alpha1_term = -coeffs.alpha1 * kt**3
-    alpha2_term = -coeffs.alpha2 * kt**2
+    bb_term, alpha1_term, alpha2_term = _subtraction_terms(geom, field, tp)
     total = math.fsum([e0_ren, raw, bb_term, alpha1_term, alpha2_term])
     return EnergyBreakdown(e0_ren, raw, bb_term, alpha1_term, alpha2_term, total)
+
+
+def _subtraction_terms(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint):
+    """(bb_term, alpha1_term, alpha2_term) of the free energy, signs included."""
+    coeffs = subtraction_coeffs(geom, field)
+    kt = tp.kt
+    return (
+        coeffs.bb_prefactor * kt**4 * geom.volume,
+        -coeffs.alpha1 * kt**3,
+        -coeffs.alpha2 * kt**2,
+    )
 
 
 def _force_parts(
@@ -294,6 +301,19 @@ def force_x(
     return math.fsum(_force_parts(geom, field, tp, tol, max_points))
 
 
+def _mode_energy(
+    geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: float, max_points: int
+) -> float:
+    """Mode part of the internal energy, kT times the sum of r/(exp(r) - 1)."""
+    betas = tp.reduced(geom)
+    if field is FieldKind.SCALAR_DIRICHLET:
+        return tp.kt * _modesum.energy_sum(betas, tol, max_points)
+    doubles = math.fsum(
+        _modesum.energy_sum(pair, tol, max_points) for pair in _em_double_pairs(betas)
+    )
+    return tp.kt * (2.0 * _modesum.energy_sum(betas, tol, max_points) + doubles)
+
+
 def internal_energy(
     geom: BoxGeometry,
     field: FieldKind,
@@ -308,25 +328,10 @@ def internal_energy(
     """
     if tp.temperature <= 0.0:
         raise ValueError("internal_energy requires T > 0")
-    breakdown = free_energy(geom, field, tp, tol, max_points)
-    betas = tp.reduced(geom)
-    inv_beta = tp.kt
-    if field is FieldKind.SCALAR_DIRICHLET:
-        modes = inv_beta * _modesum.energy_sum(betas, tol, max_points)
-    else:
-        doubles = math.fsum(
-            _modesum.energy_sum(pair, tol, max_points) for pair in _em_double_pairs(betas)
-        )
-        modes = inv_beta * (2.0 * _modesum.energy_sum(betas, tol, max_points) + doubles)
-    return math.fsum(
-        [
-            breakdown.e0_ren,
-            modes,
-            -3.0 * breakdown.bb_term,
-            -2.0 * breakdown.alpha1_term,
-            -1.0 * breakdown.alpha2_term,
-        ]
-    )
+    e0_ren = e0(geom, field, tol)
+    modes = _mode_energy(geom, field, tp, tol, max_points)
+    bb_term, alpha1_term, alpha2_term = _subtraction_terms(geom, field, tp)
+    return math.fsum([e0_ren, modes, -3.0 * bb_term, -2.0 * alpha1_term, -1.0 * alpha2_term])
 
 
 def entropy(
@@ -336,12 +341,18 @@ def entropy(
     tol: float = DEFAULT_TOL,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> float:
-    """Entropy (U - F)/(k_B T), dimensionless in units of k_B."""
+    """Entropy (U - F)/(k_B T), dimensionless in units of k_B.
+
+    Formed term by term, (modes_U - thermal_raw - 4 bb - 3 alpha1 - 2 alpha2)/kT,
+    where the pieces carry their free-energy signs; E0 cancels exactly and
+    is not evaluated.
+    """
     if tp.temperature <= 0.0:
         raise ValueError("entropy requires T > 0")
-    u = internal_energy(geom, field, tp, tol, max_points)
-    f = free_energy(geom, field, tp, tol, max_points).total
-    return (u - f) / tp.kt
+    modes = _mode_energy(geom, field, tp, tol, max_points)
+    raw = thermal_raw(geom, field, tp, tol, max_points)
+    bb_term, alpha1_term, alpha2_term = _subtraction_terms(geom, field, tp)
+    return math.fsum([modes, -raw, -4.0 * bb_term, -3.0 * alpha1_term, -2.0 * alpha2_term]) / tp.kt
 
 
 def asymptotic_thermal(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint) -> float:

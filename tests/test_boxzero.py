@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casimirbox import boxzero, validate
 from casimirbox.boxzero import (
     BoxGeometry,
     FieldKind,
@@ -54,6 +55,11 @@ class TestLatticeG:
         with pytest.raises(ConvergenceError):
             lattice_g(1e-5, max_terms=100)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            lattice_g(1.0, tol)
+
 
 class TestLatticeR:
     def test_pinned_values(self):
@@ -69,6 +75,11 @@ class TestLatticeR:
     def test_budget_exhaustion(self):
         with pytest.raises(ConvergenceError):
             lattice_r(1e-4, 1e-4, max_terms=1000)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            lattice_r(1.0, 2.0, tol)
 
 
 class TestZeroTemperatureEnergies:
@@ -132,6 +143,49 @@ class TestZeroTemperatureEnergies:
         assert all(v < -0.02 for v in vals)
 
 
+class TestSortedEvaluation:
+    """e0 evaluates the closed forms with the sides in ascending order."""
+
+    @pytest.mark.parametrize("field", [SCALAR, EM])
+    @pytest.mark.parametrize("sides", [(100.0, 1.0, 1.0), (10.0, 1.0, 1.0), (1.0, 2.0, 3.0)])
+    def test_bitwise_equal_over_permutations(self, sides, field):
+        vals = {e0(BoxGeometry(*p), field) for p in permutations(sides)}
+        assert len(vals) == 1
+
+    @pytest.mark.parametrize("field", [SCALAR, EM])
+    def test_long_side_first_bar_matches_cutoff_oracle(self, field):
+        oracle = validate.oracle_e0_cutoff(field, 10.0, 1.0, 1.0)
+        assert 10.0 * abs(e0(BoxGeometry(10.0, 1.0, 1.0), field) - oracle) <= 1e-9
+
+    def test_lattice_arguments_stay_at_or_above_one(self, monkeypatch):
+        # a +- h of the force's finite differences may sit a hair below its
+        # neighbour in the sorted order, hence 0.999 rather than 1
+        args = []
+
+        def spy(fn):
+            def wrapped(*a, **kw):
+                args.extend(a[:2] if fn is lattice_r else a[:1])
+                return fn(*a, **kw)
+
+            return wrapped
+
+        monkeypatch.setattr(boxzero, "lattice_g", spy(lattice_g))
+        monkeypatch.setattr(boxzero, "lattice_r", spy(lattice_r))
+        boxes = [(1.0, 1.0, 1.0), (2.0, 1.0, 2.0), (1.0, 2.0, 2.0), (2.0, 2.0, 1.0)]
+        boxes += list(permutations((100.0, 1.0, 1.0))) + list(permutations((1.0, 2.0, 3.0)))
+        for sides in boxes:
+            for field in (SCALAR, EM):
+                e0(BoxGeometry(*sides), field)
+                e0_force_x(BoxGeometry(*sides), field)
+        assert args and min(args) >= 0.999
+
+    def test_force_is_independent_of_the_order_of_b_and_c(self):
+        for field in (SCALAR, EM):
+            assert e0_force_x(BoxGeometry(2.0, 1.0, 3.0), field) == e0_force_x(
+                BoxGeometry(2.0, 3.0, 1.0), field
+            )
+
+
 class TestGeometryValidation:
     def test_rejects_nonpositive_sides(self):
         for bad in [(0.0, 1, 1), (-1, 1, 1), (1, math.nan, 1), (1, 1, math.inf)]:
@@ -143,6 +197,9 @@ class TestGeometryValidation:
             BoxGeometry(1.0, 2e6, 1.0)
         with pytest.raises(ValueError):
             BoxGeometry(1.0, 1.0, 1e-7)
+        # b/a and c/a are within 1e6 but c/b is not
+        with pytest.raises(ValueError):
+            BoxGeometry(1.0, 1e-4, 1e3)
 
 
 class TestForce:

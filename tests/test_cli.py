@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -354,6 +358,41 @@ class TestExitCodes:
         )
         assert status == 3
         assert "convergence error" in err
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10", "abc"])
+    def test_bad_tol_is_usage_error(self, tol, capsys):
+        start = time.perf_counter()
+        status, out, _ = run_cli(["plates", "--a", "2", "--temp", "300", "--tol", tol])
+        assert status == 2
+        assert out == ""
+        assert "--tol" in capsys.readouterr().err  # argparse writes to sys.stderr
+        assert time.perf_counter() - start < 5.0
+
+    def test_nan_tol_rejected_for_box_commands(self):
+        status, out, _ = run_cli(
+            ["free-energy", "--field", "em", "--a", "2", "--b", "2", "--c", "2", "--temp", "300",
+             "--tol", "nan"]
+        )
+        assert status == 2
+        assert out == ""
+
+
+class TestImports:
+    def test_cli_import_leaves_out_validate_and_its_dependencies(self):
+        code = (
+            "import sys, casimirbox.cli; "
+            "print(sorted(m for m in ('casimirbox.validate', 'scipy.integrate', 'mpmath') "
+            "if m in sys.modules))"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestValidateCommand:

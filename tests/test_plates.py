@@ -87,6 +87,14 @@ class TestFreeEnergy:
         with pytest.raises(ValueError):
             plates_free_energy(PlatesConfig(1e-6, 300.0), tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_rejects_non_finite_tol(self, tol):
+        cfg = PlatesConfig(1e-6, 300.0)
+        with pytest.raises(ValueError, match="tol"):
+            plates_free_energy(cfg, tol)
+        with pytest.raises(ValueError, match="tol"):
+            plates_pressure(cfg, tol)
+
 
 class TestPressure:
     def test_zero_temperature(self):

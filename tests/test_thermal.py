@@ -120,8 +120,18 @@ class TestThermalRaw:
     def test_budget_exhaustion(self):
         hot = ThermalPoint(5000.0)
         big = BoxGeometry(50e-6, 50e-6, 50e-6)
-        with pytest.raises(ConvergenceError):
+        # the message states the estimated points and the budget
+        match = r"needs about \S+ lattice points, budget 1000$"
+        with pytest.raises(ConvergenceError, match=match):
             thermal_raw(big, SCALAR, hot, max_points=1000)
+
+    @pytest.mark.parametrize("series", [_modesum.log_sum, _modesum.force_sum, _modesum.energy_sum])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_mode_sums_reject_bad_tol(self, series, tol):
+        with pytest.raises(ValueError, match="tol"):
+            series((1.0, 2.0, 3.0), tol)
+        with pytest.raises(ValueError, match="tol"):
+            series((1.0, 2.0), tol)
 
 
 class TestBlackbody:
@@ -417,3 +427,42 @@ class TestSubtractionCompleteness:
             fe = free_energy(cube, field, tp)
             vals.append(abs((fe.total - fe.e0_ren) / tp.kt))
         assert max(vals) / min(vals) < 5.0
+
+
+class TestThermoRow:
+    # 1 x 10 x 10 um slab at 10 K: the first log-sum term is subnormal and
+    # tol times it underflows to 0.  References from a long-double
+    # brute-force mode sum and a 30-digit E0 (F, force, U, S).
+    SLAB_10K = {
+        SCALAR: (-478921.02340869576, -1610611603036.587, -479023.0195240958,
+                 -0.023355932567396466),
+        EM: (-1301329.322526056, -4046880335378.754, -1301119.6581396814,
+             0.048010723258876634),
+    }
+
+    @pytest.mark.parametrize("field", [SCALAR, EM])
+    def test_slab_at_10_kelvin(self, field):
+        g = BoxGeometry(1e-6, 10e-6, 10e-6)
+        tp = ThermalPoint(10.0)
+        f_ref, force_ref, u_ref, s_ref = self.SLAB_10K[field]
+        assert free_energy(g, field, tp).total == pytest.approx(f_ref, rel=1e-10)
+        assert force_x(g, field, tp) == pytest.approx(force_ref, rel=1e-9)
+        assert internal_energy(g, field, tp) == pytest.approx(u_ref, rel=1e-10)
+        assert entropy(g, field, tp) == pytest.approx(s_ref, rel=1e-10)
+
+    def test_em_row_sums_each_log_series_once(self, monkeypatch):
+        calls = []
+        log_sum = _modesum.log_sum
+
+        def spy(betas, *args, **kwargs):
+            calls.append(len(betas))
+            return log_sum(betas, *args, **kwargs)
+
+        monkeypatch.setattr(_modesum, "log_sum", spy)
+        g, tp = CUBE_2UM, ThermalPoint(3000.0)
+        free_energy(g, EM, tp)
+        force_x(g, EM, tp)
+        internal_energy(g, EM, tp)
+        entropy(g, EM, tp)
+        # the triple sum and three double sums, for F and for S
+        assert sorted(calls) == [2] * 6 + [3] * 2
