@@ -1,18 +1,25 @@
 """Shell-truncated sums over box mode lattices.
 
-All thermal quantities reduce to sums over positive integer triples
-(n, l, p) or pairs of a kernel f(n, r) with r = sqrt(sum_i (beta_i m_i)^2),
-where beta_i are the reduced inverse temperatures and every kernel decays
-at least like exp(-r).  The cutoff radius R is fixed a priori from an
-analytic bound
+All thermal quantities reduce to sums of a kernel f(n, r) over the
+positive index lattice of d = 2 or 3 axes, with
+r = sqrt(sum_i (beta_i m_i)^2), where beta_i are the reduced inverse
+temperatures, n = m_1 is the index on the first axis and every kernel
+decays at least like exp(-r).  One routine, `_shell_sum`, serves every
+kernel and both dimensions; `log_sum`, `force_sum` and `energy_sum` only
+name their kernel and its bound.  The cutoff radius R is fixed a priori
+from an analytic bound
 
     |tail(R)| <= A * R^k * exp(-R/2) * prod_i 1/(exp(beta_i/(2 sqrt(d))) - 1)
 
 valid because r >= (sum beta_i m_i)/sqrt(d) on a d-dimensional index
-lattice and |f| <= A r^k exp(-r) for each kernel.  The bound is compared
-against the first (largest) term, which is a lower bound on |sum| since
-every kernel has a fixed sign.  Enumeration order is fixed, so results
-are deterministic.
+lattice and |f| <= A r^k exp(-r) for each kernel, with
+A = beta_1^-s / (1 - exp(-r1)) and r1 the radius of the first point:
+s = 0 for the log and energy kernels, s = 2 for the force kernel, whose
+n^2 is at most (r / beta_1)^2.  The bound is compared against the first
+(largest) term, which is a lower bound on |sum| since every kernel has a
+fixed sign.  The lattice is enumerated in slabs of fixed n, each slab's
+points inside R as one array, and the slab sums are added with fsum; the
+order is fixed, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -21,13 +28,17 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, check_tol
+from .errors import budget_error, check_tol
 
 __all__ = ["log_sum", "force_sum", "energy_sum", "DEFAULT_MAX_POINTS"]
 
 #: Library-level cap on lattice points per sum.  The CLI exposes its own,
 #: smaller default via --max-shell.
 DEFAULT_MAX_POINTS = 50_000_000
+
+#: Volume of the positive-orthant part of the unit d-ball (pi/4, pi/6),
+#: for the a-priori count of lattice points inside the cutoff radius.
+_ORTHANT_BALL = {2: 0.7854, 3: 0.5236}
 
 
 def _kernel_log(n: int, r: np.ndarray) -> np.ndarray:
@@ -68,105 +79,82 @@ def _lattice_factor(betas: tuple[float, ...]) -> float:
     return out
 
 
-def _over_budget(est_points: float, max_points: int, tol: float) -> ConvergenceError:
-    return ConvergenceError(
-        "box mode sum", reached=math.inf, requested=tol,
-        message=f"box mode sum: tolerance {tol:.3e} needs about {est_points:.3e} lattice points, "
-        f"budget {max_points}",
-    )
+def _less_squares(r2: float, betas) -> float:
+    """r2 minus beta^2 for each beta, subtracted in order: the room left
+    inside the cutoff once every later axis takes index 1."""
+    for b in betas:
+        r2 -= b * b
+    return r2
 
 
-def _sum_triple(betas, kernel, bound_a, k_pow, tol, max_points) -> float:
-    b1, b2, b3 = betas
-    r1 = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-    if r1 > 745.0:
-        return 0.0
-    first = abs(float(kernel(1, np.array([r1]))[0]))
-    if first == 0.0:
-        return 0.0
-    radius = _cutoff_radius(bound_a, k_pow, _lattice_factor(betas), tol, first, r1)
-    est_points = 0.5236 * radius**3 / (b1 * b2 * b3)
-    if est_points > max_points:
-        raise _over_budget(est_points, max_points, tol)
-    r2cut = radius * radius
-    slabs: list[float] = []
-    n_max = int(math.sqrt(max(r2cut - b2 * b2 - b3 * b3, 0.0)) / b1)
-    for n in range(1, n_max + 1):
-        q = (b1 * n) ** 2
-        l_lim = r2cut - q - b3 * b3
-        if l_lim <= 0.0:
-            break
-        l_max = int(math.sqrt(l_lim) / b2)
-        if l_max < 1:
-            break
-        l = np.arange(1, l_max + 1, dtype=float)
-        ql = q + (b2 * l) ** 2
-        p_max = int(math.sqrt(max(r2cut - ql.min(), 0.0)) / b3)
-        if p_max < 1:
-            continue
-        p = np.arange(1, p_max + 1, dtype=float)
-        r2 = ql[:, None] + (b3 * p)[None, :] ** 2
-        inside = r2 <= r2cut
-        r = np.sqrt(r2[inside])
-        slabs.append(float(kernel(n, r).sum()))
-    return math.fsum(slabs)
+def _shell_sum(betas, tol: float, max_points: int, kernel, k_pow: int, scale_pow: int = 0) -> float:
+    """Sum kernel(n, r) over the index lattice m_i >= 1 of 2 or 3 axes.
 
-
-def _sum_double(betas, kernel, bound_a, k_pow, tol, max_points) -> float:
-    b1, b2 = betas
-    r1 = math.hypot(b1, b2)
-    if r1 > 745.0:
-        return 0.0
-    first = abs(float(kernel(1, np.array([r1]))[0]))
-    if first == 0.0:
-        return 0.0
-    radius = _cutoff_radius(bound_a, k_pow, _lattice_factor(betas), tol, first, r1)
-    est_points = 0.7854 * radius**2 / (b1 * b2)
-    if est_points > max_points:
-        raise _over_budget(est_points, max_points, tol)
-    r2cut = radius * radius
-    slabs: list[float] = []
-    n_max = int(math.sqrt(max(r2cut - b2 * b2, 0.0)) / b1)
-    for n in range(1, n_max + 1):
-        q = (b1 * n) ** 2
-        l_max = int(math.sqrt(max(r2cut - q, 0.0)) / b2)
-        if l_max < 1:
-            break
-        l = np.arange(1, l_max + 1, dtype=float)
-        r = np.sqrt(q + (b2 * l) ** 2)
-        slabs.append(float(kernel(n, r).sum()))
-    return math.fsum(slabs)
-
-
-def _dispatch(betas, kernel, bound_a, k_pow, tol, max_points):
+    k_pow and scale_pow set the kernel's bound
+    |f| <= beta_1^-scale_pow r^k_pow exp(-r) / (1 - exp(-r1)).
+    """
     check_tol(tol)
     betas = tuple(float(b) for b in betas)
     if any(not (math.isfinite(b) and b > 0.0) for b in betas):
         raise ValueError(f"reduced frequencies must be positive and finite, got {betas}")
-    if len(betas) == 3:
-        return _sum_triple(betas, kernel, bound_a, k_pow, tol, max_points)
-    if len(betas) == 2:
-        return _sum_double(betas, kernel, bound_a, k_pow, tol, max_points)
-    raise ValueError("expected 2 or 3 reduced frequencies")
+    if len(betas) not in _ORTHANT_BALL:
+        raise ValueError("expected 2 or 3 reduced frequencies")
+    r1 = math.sqrt(sum(b * b for b in betas))
+    if r1 > 745.0:
+        return 0.0
+    first = abs(float(kernel(1, np.array([r1]))[0]))
+    if first == 0.0:
+        return 0.0
+    b1, *inner = betas
+    bound_a = 1.0 / (b1**scale_pow * (1.0 - math.exp(-r1)))
+    radius = _cutoff_radius(bound_a, k_pow, _lattice_factor(betas), tol, first, r1)
+    est_points = _ORTHANT_BALL[len(betas)] * radius ** len(betas) / math.prod(betas)
+    if est_points > max_points:
+        raise budget_error(
+            "box mode sum", tol, f"needs about {est_points:.3e} lattice points", max_points
+        )
+    r2cut = radius * radius
+    slabs: list[float] = []
+    # each inner axis with the axes after it, which take at least index 1
+    axes = [(b, inner[j + 1:]) for j, b in enumerate(inner)]
+    n_max = int(math.sqrt(max(_less_squares(r2cut, inner), 0.0)) / b1)
+    for n in range(1, n_max + 1):
+        # squared radii of the slab's points, one inner axis at a time;
+        # floor is the smallest of them, at inner indices 1
+        grid = floor = (b1 * n) ** 2
+        for b, later in axes:
+            m_max = int(math.sqrt(max(_less_squares(r2cut - floor, later), 0.0)) / b)
+            if m_max < 1:
+                # floor only grows with n: no later slab has points either
+                return math.fsum(slabs)
+            row = (b * np.arange(1, m_max + 1, dtype=float)) ** 2
+            grid = grid + row if isinstance(grid, float) else grid[..., None] + row
+            floor += b * b
+        # r2, inside and r keep the previous slab's arrays alive until the
+        # new ones exist: rebinding r2 to its masked copy instead frees the
+        # large grid early, and each slab then faults in fresh pages
+        r2 = grid
+        if r2.ndim == 1:
+            # a single inner axis was cut at this row's own floor
+            r = np.sqrt(r2)
+        else:
+            # the last axis was cut at the first row's floor; mask the rest
+            inside = r2 <= r2cut
+            r = np.sqrt(r2[inside])
+        slabs.append(float(kernel(n, r).sum()))
+    return math.fsum(slabs)
 
 
 def log_sum(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS) -> float:
     """sum over the index lattice of ln(1 - exp(-r)); strictly negative."""
-    r1 = math.sqrt(sum(float(b) ** 2 for b in betas))
-    bound_a = 1.0 / (1.0 - math.exp(-r1)) if r1 < 745.0 else 1.0
-    return _dispatch(betas, _kernel_log, bound_a, 0, tol, max_points)
+    return _shell_sum(betas, tol, max_points, _kernel_log, k_pow=0)
 
 
 def force_sum(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS) -> float:
     """sum of n^2 / (r (exp(r) - 1)) with n the index on the first axis."""
-    bs = tuple(float(b) for b in betas)
-    r1 = math.sqrt(sum(b * b for b in bs))
-    bound_a = 1.0 / (bs[0] ** 2 * (1.0 - math.exp(-r1))) if r1 < 745.0 else 1.0
-    return _dispatch(bs, _kernel_force, bound_a, 1, tol, max_points)
+    return _shell_sum(betas, tol, max_points, _kernel_force, k_pow=1, scale_pow=2)
 
 
 def energy_sum(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS) -> float:
     """sum of r / (exp(r) - 1) over the index lattice."""
-    r1 = math.sqrt(sum(float(b) ** 2 for b in betas))
-    bound_a = 1.0 / (1.0 - math.exp(-r1)) if r1 < 745.0 else 1.0
-    return _dispatch(betas, _kernel_energy, bound_a, 1, tol, max_points)
+    return _shell_sum(betas, tol, max_points, _kernel_energy, k_pow=1)

@@ -39,8 +39,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConvergenceError, DerivativeInstabilityError, check_tol
-from .specfun import PI, ZETA3, bessel_k
+from .errors import DerivativeInstabilityError, budget_error, check_tol
+from .specfun import PI, ZETA3, bessel_k, richardson_derivative
 
 __all__ = [
     "BoxGeometry",
@@ -145,7 +145,7 @@ def lattice_g(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_T
                 row_terms.append((n / l) * kv)
             used += 1
             if used > max_terms:
-                raise ConvergenceError("lattice_g", reached=math.inf, requested=tol)
+                raise budget_error("lattice_g", tol, f"not reached after {used} terms", max_terms)
             # remaining l' > l:  sum <= n * C(yn(l+1)) * xn^(l+1) / (1 - xn)
             tail_l = n * _k1_envelope(yn * (l + 1)) * math.exp(-yn * (l + 1)) / (1.0 - xn)
             if tail_l <= 0.1 * tol * max(running, first):
@@ -218,8 +218,9 @@ def lattice_r(
     while True:
         n1 = int(radius / z1) + 1
         n2 = int(radius / z2) + 1
-        if (n1 + 1) * (n2 + 1) > max_terms:
-            raise ConvergenceError("lattice_r", reached=math.inf, requested=tol)
+        points = (n1 + 1) * (n2 + 1)
+        if points > max_terms:
+            raise budget_error("lattice_r", tol, f"needs {points} lattice points", max_terms)
         l = np.arange(0, n1 + 1, dtype=float)
         p = np.arange(0, n2 + 1, dtype=float)
         rho2 = (l[:, None] * z1) ** 2 + (p[None, :] * z2) ** 2
@@ -245,7 +246,7 @@ def lattice_r(
             acc[alive] += term
             used += alive.size
             if used > max_terms:
-                raise ConvergenceError("lattice_r", reached=math.inf, requested=tol)
+                raise budget_error("lattice_r", tol, f"not reached after {used} terms", max_terms)
             rem_pt = _r_pointwise_tail(r_a, x[alive], j)
             rem = float(np.dot(weight[alive], rem_pt))
             partial = float(np.dot(weight, acc))
@@ -350,10 +351,7 @@ def e0_force_x(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL) ->
         sides[slot] = aa
         return _e0_in_order(sides, field, tol)
 
-    d1 = (energy(a + h) - energy(a - h)) / (2.0 * h)
-    d2 = (energy(a + h / 2.0) - energy(a - h / 2.0)) / h
-    extrap = (4.0 * d2 - d1) / 3.0
-    scale = max(abs(extrap), abs(d1), abs(d2))
-    if scale > 0.0 and abs(d2 - d1) > _FD_GATE * scale:
-        raise DerivativeInstabilityError("e0_force_x", abs(d2 - d1) / scale, _FD_GATE)
-    return -extrap
+    slope, disagreement = richardson_derivative(energy, a, h)
+    if disagreement > _FD_GATE:
+        raise DerivativeInstabilityError("e0_force_x", disagreement, _FD_GATE)
+    return -slope

@@ -52,35 +52,27 @@ def _field(arg: str) -> FieldKind:
     return FieldKind.SCALAR_DIRICHLET if arg == "scalar" else FieldKind.ELECTROMAGNETIC
 
 
-def _geometry(args) -> BoxGeometry:
-    return BoxGeometry(args.a * UM, args.b * UM, args.c * UM)
-
-
-def _reduced_t(a_m: float, temperature: float) -> float:
-    return ThermalPoint(temperature).reduced_t(a_m)
-
-
-def _box_row(args, temperature: float, quantity: str) -> str:
-    geom = _geometry(args)
+def _box_point(args, a_um: float, temperature: float):
+    """Validated geometry and temperature of one box row, with the row's
+    leading cells: (prefix, geometry, thermal point)."""
+    geom = BoxGeometry(a_um * UM, args.b * UM, args.c * UM)
     tp = ThermalPoint(temperature)
+    prefix = [_fmt(a_um), _fmt(args.b), _fmt(args.c), _fmt(temperature), _fmt(tp.reduced_t(geom.a))]
+    return prefix, geom, tp
+
+
+def _box_cells(args, geom: BoxGeometry, tp: ThermalPoint, quantity: str) -> list[str]:
+    """Computed cells of one box row, between the prefix and the error column."""
     a = geom.a
-    cells = [
-        _fmt(args.a),
-        _fmt(args.b),
-        _fmt(args.c),
-        _fmt(temperature),
-        _fmt(tp.reduced_t(a)),
-    ]
     field = _field(args.field)
     if quantity == "force":
         parts = thermal._force_parts(geom, field, tp, args.tol, args.max_shell)
         scale = a * a
-        cells += [_fmt(p * scale) for p in parts]
         total = math.fsum(parts)
-        cells += [_fmt(total * scale), _fmt(total * HBAR_C)]
+        cells = [_fmt(p * scale) for p in parts] + [_fmt(total * scale), _fmt(total * HBAR_C)]
     else:
         fe = thermal.free_energy(geom, field, tp, args.tol, args.max_shell)
-        cells += [
+        cells = [
             _fmt(fe.e0_ren * a),
             _fmt(fe.thermal_raw * a),
             _fmt(fe.bb_term * a),
@@ -93,32 +85,19 @@ def _box_row(args, temperature: float, quantity: str) -> str:
         u = thermal.internal_energy(geom, field, tp, args.tol, args.max_shell)
         s = thermal.entropy(geom, field, tp, args.tol, args.max_shell)
         cells += [_fmt(u * a), _fmt(u * HBAR_C), _fmt(s)]
-    cells.append("")  # error column
-    return ",".join(cells)
+    return cells
 
 
-def _cmd_e0(args, out) -> int:
-    print(BOX_HEADER, file=out)
-    print(_box_row(args, 0.0, "free-energy"), file=out)
-    return 0
-
-
-def _cmd_free_energy(args, out) -> int:
-    print(BOX_HEADER, file=out)
-    print(_box_row(args, args.temp, "free-energy"), file=out)
-    return 0
-
-
-def _cmd_force(args, out) -> int:
-    print(BOX_HEADER, file=out)
-    print(_box_row(args, args.temp, "force"), file=out)
-    return 0
-
-
-def _cmd_thermo(args, out) -> int:
-    header = BOX_HEADER.replace(",error", ",u_dimless,u_SI,s_kB,error")
+def _cmd_box(args, out) -> int:
+    """e0, free-energy, force and thermo: one box row under its header."""
+    quantity = args.command
+    temperature = 0.0 if quantity == "e0" else args.temp
+    prefix, geom, tp = _box_point(args, args.a, temperature)
+    header = BOX_HEADER
+    if quantity == "thermo":
+        header = BOX_HEADER.replace(",error", ",u_dimless,u_SI,s_kB,error")
     print(header, file=out)
-    print(_box_row(args, args.temp, "thermo"), file=out)
+    print(",".join(prefix + _box_cells(args, geom, tp, quantity) + [""]), file=out)
     return 0
 
 
@@ -151,27 +130,18 @@ def _cmd_sweep(args, out) -> int:
     else:
         grid = np.linspace(args.start, args.stop, args.points)
 
-    header = BOX_HEADER
-    print(header, file=out)
-    for value in grid:
-        row_args = argparse.Namespace(**vars(args))
-        if args.var == "a":
-            row_args.a = float(value)
-            temperature = args.temp
-        else:
-            temperature = float(value)
+    # every grid point is validated before the header is written
+    if args.var == "a":
+        points = [_box_point(args, float(v), args.temp) for v in grid]
+    else:
+        points = [_box_point(args, args.a, float(v)) for v in grid]
+    print(BOX_HEADER, file=out)
+    for prefix, geom, tp in points:
         try:
-            print(_box_row(row_args, temperature, args.quantity), file=out)
+            cells = _box_cells(args, geom, tp, args.quantity) + [""]
         except (ConvergenceError, DerivativeInstabilityError) as exc:
-            prefix = [
-                _fmt(row_args.a),
-                _fmt(args.b),
-                _fmt(args.c),
-                _fmt(temperature),
-                _fmt(_reduced_t(row_args.a * UM, temperature)),
-            ]
-            blank = [""] * 7
-            print(",".join(prefix + blank + [str(exc).replace(",", ";")]), file=out)
+            cells = [""] * 7 + [str(exc).replace(",", ";")]
+        print(",".join(prefix + cells), file=out)
     return 0
 
 
@@ -234,19 +204,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("e0", help="zero-temperature box energy")
     _add_box_args(p, with_temp=False)
-    p.set_defaults(func=_cmd_e0)
+    p.set_defaults(func=_cmd_box)
 
     p = sub.add_parser("free-energy", help="box free energy at temperature T")
     _add_box_args(p)
-    p.set_defaults(func=_cmd_free_energy)
+    p.set_defaults(func=_cmd_box)
 
     p = sub.add_parser("force", help="box force between the faces normal to a")
     _add_box_args(p)
-    p.set_defaults(func=_cmd_force)
+    p.set_defaults(func=_cmd_box)
 
     p = sub.add_parser("thermo", help="box free energy plus U and S columns")
     _add_box_args(p)
-    p.set_defaults(func=_cmd_thermo)
+    p.set_defaults(func=_cmd_box)
 
     p = sub.add_parser("plates", help="parallel-planes free energy (per area)")
     p.add_argument("--a", required=True, type=float, help="separation [um]")

@@ -36,6 +36,18 @@ class DerivativeInstabilityError(CasimirBoxError):
         )
 
 
+def budget_error(series: str, tol: float, need: str, budget: int) -> ConvergenceError:
+    """ConvergenceError for a series stopped by its term budget.
+
+    `need` states the terms used or the points needed, as in
+    "lattice_g: tolerance 1.000e-10 not reached after 101 terms, budget 100".
+    """
+    return ConvergenceError(
+        series, reached=math.inf, requested=tol,
+        message=f"{series}: tolerance {tol:.3e} {need}, budget {budget}",
+    )
+
+
 def check_tol(tol: float) -> None:
     """Raise ValueError unless tol is a finite positive number.
 

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DerivativeInstabilityError, check_tol
-from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
+from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3, richardson_derivative
 
 __all__ = ["PlatesConfig", "plates_free_energy", "plates_pressure", "T_SWITCH"]
 
@@ -166,15 +166,11 @@ def plates_free_energy(cfg: PlatesConfig, tol: float = _DEFAULT_TOL) -> float:
 def plates_pressure(cfg: PlatesConfig, tol: float = _DEFAULT_TOL) -> float:
     """Casimir pressure -dF/da [1/m^4], central differences + Richardson."""
     a = cfg.separation
-    h = _FD_STEP * a
 
     def f(aa: float) -> float:
         return plates_free_energy(PlatesConfig(aa, cfg.temperature), tol)
 
-    d1 = (f(a + h) - f(a - h)) / (2.0 * h)
-    d2 = (f(a + h / 2.0) - f(a - h / 2.0)) / h
-    extrap = (4.0 * d2 - d1) / 3.0
-    scale = max(abs(extrap), abs(d1), abs(d2))
-    if scale > 0.0 and abs(d2 - d1) > _FD_GATE * scale:
-        raise DerivativeInstabilityError("plates_pressure", abs(d2 - d1) / scale, _FD_GATE)
-    return -extrap
+    slope, disagreement = richardson_derivative(f, a, _FD_STEP * a)
+    if disagreement > _FD_GATE:
+        raise DerivativeInstabilityError("plates_pressure", disagreement, _FD_GATE)
+    return -slope

@@ -34,6 +34,7 @@ __all__ = [
     "K_BOLTZMANN",
     "bessel_k",
     "exp_tail_bound",
+    "richardson_derivative",
 ]
 
 #: Riemann zeta(3) = 1.2020569031595942854..., nearest double.
@@ -112,3 +113,19 @@ def exp_tail_bound(prefactor: float, rate: float, start: int) -> float:
     if start < 0:
         raise ValueError("exp_tail_bound requires start >= 0")
     return prefactor * math.exp(-rate * start) / (1.0 - math.exp(-rate))
+
+
+def richardson_derivative(func, x: float, h: float) -> tuple[float, float]:
+    """Derivative of func at x: central differences with steps h and h/2,
+    Richardson-extrapolated to cancel the h^2 error term.
+
+    Returns (derivative, disagreement), where disagreement is
+    |d2 - d1| / max(|derivative|, |d1|, |d2|) for the two levels d1 (step h)
+    and d2 (step h/2), and 0 when all three vanish.  Callers that gate on
+    it decide the threshold and the error.
+    """
+    d1 = (func(x + h) - func(x - h)) / (2.0 * h)
+    d2 = (func(x + h / 2.0) - func(x - h / 2.0)) / h
+    extrap = (4.0 * d2 - d1) / 3.0
+    scale = max(abs(extrap), abs(d1), abs(d2))
+    return extrap, (abs(d2 - d1) / scale if scale > 0.0 else 0.0)

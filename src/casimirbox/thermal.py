@@ -129,9 +129,24 @@ def mode_frequency(n: int, l: int, p: int, geom: BoxGeometry) -> float:
     return PI * math.sqrt((n / geom.a) ** 2 + (l / geom.b) ** 2 + (p / geom.c) ** 2)
 
 
-def _em_double_pairs(betas):
+def _field_sum(
+    series, field: FieldKind, betas, tol: float, max_points: int, a_derivative: bool = False
+) -> float:
+    """One mode series summed over the field's mode lattices.
+
+    scalar: the n, l, p >= 1 triple lattice.  em: the triple lattice
+    twice (two polarizations) plus the three lattices with exactly one
+    index zero.  With a_derivative, the em sum keeps only the two of
+    those that contain the a axis: the (l, p) lattice's frequencies do not
+    depend on a.  `series` is one of the `_modesum` sums, looked up by the
+    caller at call time.
+    """
+    triple = series(betas, tol, max_points)
+    if field is FieldKind.SCALAR_DIRICHLET:
+        return triple
     ba, bb, bc = betas
-    return ((bb, bc), (ba, bb), (ba, bc))
+    pairs = ((ba, bb), (ba, bc)) if a_derivative else ((bb, bc), (ba, bb), (ba, bc))
+    return 2.0 * triple + math.fsum(series(pair, tol, max_points) for pair in pairs)
 
 
 def thermal_raw(
@@ -150,12 +165,7 @@ def thermal_raw(
     """
     if tp.temperature == 0.0:
         return 0.0
-    betas = tp.reduced(geom)
-    x = _modesum.log_sum(betas, tol, max_points)
-    if field is FieldKind.SCALAR_DIRICHLET:
-        return tp.kt * x
-    doubles = math.fsum(_modesum.log_sum(pair, tol, max_points) for pair in _em_double_pairs(betas))
-    return tp.kt * (2.0 * x + doubles)
+    return tp.kt * _field_sum(_modesum.log_sum, field, tp.reduced(geom), tol, max_points)
 
 
 def blackbody_density(tp: ThermalPoint, field: FieldKind) -> float:
@@ -269,21 +279,13 @@ def _force_parts(
         return (f0, 0.0, 0.0, 0.0, 0.0)
     a, b, c = geom.sides
     kt = tp.kt
-    beta = tp.beta
-    betas = tp.reduced(geom)
-    ba, bb_, bc_ = betas
+    s = _field_sum(_modesum.force_sum, field, tp.reduced(geom), tol, max_points, a_derivative=True)
+    mode = (PI**2 / a**3) * tp.beta * s
     if field is FieldKind.SCALAR_DIRICHLET:
-        mode = (PI**2 / a**3) * beta * _modesum.force_sum(betas, tol, max_points)
         bb_term = -(PI**2) * kt**4 * b * c / 90.0
         a1_term = ZETA3 * kt**3 * (b + c) / (4.0 * PI)
         a2_term = -PI * kt**2 / 24.0
     else:
-        s = (
-            _modesum.force_sum((ba, bb_), tol, max_points)
-            + _modesum.force_sum((ba, bc_), tol, max_points)
-            + 2.0 * _modesum.force_sum(betas, tol, max_points)
-        )
-        mode = (PI**2 / a**3) * beta * s
         bb_term = -(PI**2) * kt**4 * b * c / 45.0
         a1_term = 0.0
         a2_term = PI * kt**2 / 12.0
@@ -305,13 +307,7 @@ def _mode_energy(
     geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: float, max_points: int
 ) -> float:
     """Mode part of the internal energy, kT times the sum of r/(exp(r) - 1)."""
-    betas = tp.reduced(geom)
-    if field is FieldKind.SCALAR_DIRICHLET:
-        return tp.kt * _modesum.energy_sum(betas, tol, max_points)
-    doubles = math.fsum(
-        _modesum.energy_sum(pair, tol, max_points) for pair in _em_double_pairs(betas)
-    )
-    return tp.kt * (2.0 * _modesum.energy_sum(betas, tol, max_points) + doubles)
+    return tp.kt * _field_sum(_modesum.energy_sum, field, tp.reduced(geom), tol, max_points)
 
 
 def internal_energy(
@@ -367,21 +363,4 @@ def asymptotic_thermal(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint) ->
     """
     if tp.temperature <= 0.0:
         raise ValueError("asymptotic_thermal requires T > 0")
-    a, b, c = geom.sides
-    kt = tp.kt
-    if field is FieldKind.SCALAR_DIRICHLET:
-        return math.fsum(
-            [
-                -PI * kt**2 * (a + b + c) / 24.0,
-                ZETA3 * (a * c + b * c + a * b) * kt**3 / (4.0 * PI),
-                -(PI**2) * kt**4 * a * b * c / 90.0,
-            ]
-        )
-    if field is FieldKind.ELECTROMAGNETIC:
-        return math.fsum(
-            [
-                PI * kt**2 * (a + b + c) / 12.0,
-                -(PI**2) * kt**4 * a * b * c / 45.0,
-            ]
-        )
-    raise ValueError(f"unknown field kind {field!r}")
+    return -math.fsum(_subtraction_terms(geom, field, tp))

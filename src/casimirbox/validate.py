@@ -27,9 +27,9 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from . import boxzero, plates, thermal
+from . import _modesum, boxzero, plates, thermal
 from .boxzero import BoxGeometry, FieldKind
-from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3, bessel_k
+from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3, bessel_k, richardson_derivative
 from .thermal import ThermalPoint
 
 __all__ = [
@@ -263,13 +263,6 @@ class ThermoReport:
         return max(self.u_deviation, self.s_deviation)
 
 
-def _richardson_dt(func, t: float, h_rel: float) -> float:
-    h = h_rel * t
-    d1 = (func(t + h) - func(t - h)) / (2.0 * h)
-    d2 = (func(t + h / 2.0) - func(t - h / 2.0)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
 def oracle_thermo_consistency(
     geom: BoxGeometry, field: FieldKind, temperature: float, h_rel: float = 1e-4
 ) -> ThermoReport:
@@ -287,9 +280,10 @@ def oracle_thermo_consistency(
     u = thermal.internal_energy(geom, field, tp)
     s = thermal.entropy(geom, field, tp)
 
-    d_f_over_t = _richardson_dt(lambda t: f_of_t(t) / t, temperature, h_rel)
+    h = h_rel * temperature
+    d_f_over_t = richardson_derivative(lambda t: f_of_t(t) / t, temperature, h)[0]
     u_fd = -(temperature**2) * d_f_over_t
-    df_dt = _richardson_dt(f_of_t, temperature, h_rel)
+    df_dt = richardson_derivative(f_of_t, temperature, h)[0]
     # -dF/dT is an entropy in 1/(m K); convert to k_B units via T/(kT)
     s_fd = -df_dt * temperature / tp.kt
     u_dev = abs(u - u_fd) / max(abs(u), abs(u_fd))
@@ -312,7 +306,8 @@ def _oracle_internal_energy(field: FieldKind, a: float, temperature: float, h_re
     def f_over_t(t: float) -> float:
         return thermal.free_energy(geom, field, ThermalPoint(t)).total / t
 
-    return -(temperature**2) * _richardson_dt(f_over_t, temperature, h_rel)
+    slope = richardson_derivative(f_over_t, temperature, h_rel * temperature)[0]
+    return -(temperature**2) * slope
 
 
 _FIXTURE_SPECS = [
@@ -455,17 +450,11 @@ def _fixture_actual(fix: Fixture) -> float:
     if fix.kind == "R":
         return boxzero.lattice_r(p["z1"], p["z2"])
     if fix.kind in ("X", "Y"):
+        field = FieldKind.SCALAR_DIRICHLET if fix.kind == "X" else FieldKind.ELECTROMAGNETIC
         betas = (p["beta_a"], p["beta_b"], p["beta_c"])
-        from . import _modesum
-
-        x = _modesum.log_sum(betas, 1e-12)
-        if fix.kind == "X":
-            return x
-        doubles = math.fsum(
-            _modesum.log_sum(pair, 1e-12)
-            for pair in ((betas[1], betas[2]), (betas[0], betas[1]), (betas[0], betas[2]))
+        return thermal._field_sum(
+            _modesum.log_sum, field, betas, 1e-12, _modesum.DEFAULT_MAX_POINTS
         )
-        return 2.0 * x + doubles
     if fix.kind == "E0S":
         return boxzero.e0_scalar(BoxGeometry(p["a"], p["b"], p["c"]))
     if fix.kind == "E0EM":
@@ -567,11 +556,8 @@ def _plates_cfg_for_t(separation: float, t: float) -> plates.PlatesConfig:
 def _plates_pressure_reference(cfg: plates.PlatesConfig) -> float:
     """Independent pressure estimate with a different step ladder."""
     a = cfg.separation
-    h = 3e-5 * a
 
     def f(aa: float) -> float:
         return plates.plates_free_energy(plates.PlatesConfig(aa, cfg.temperature))
 
-    d1 = (f(a + h) - f(a - h)) / (2.0 * h)
-    d2 = (f(a + h / 2.0) - f(a - h / 2.0)) / h
-    return -(4.0 * d2 - d1) / 3.0
+    return -richardson_derivative(f, a, 3e-5 * a)[0]

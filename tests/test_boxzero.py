@@ -55,6 +55,11 @@ class TestLatticeG:
         with pytest.raises(ConvergenceError):
             lattice_g(1e-5, max_terms=100)
 
+    def test_budget_message_states_terms_and_budget(self):
+        match = r"^lattice_g: tolerance 1\.000e-10 not reached after 101 terms, budget 100$"
+        with pytest.raises(ConvergenceError, match=match):
+            lattice_g(1e-5, max_terms=100)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
     def test_rejects_bad_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
@@ -75,6 +80,11 @@ class TestLatticeR:
     def test_budget_exhaustion(self):
         with pytest.raises(ConvergenceError):
             lattice_r(1e-4, 1e-4, max_terms=1000)
+
+    def test_budget_message_states_points_and_budget(self):
+        match = r"^lattice_r: tolerance 1\.000e-10 needs \d+ lattice points, budget 100$"
+        with pytest.raises(ConvergenceError, match=match):
+            lattice_r(1e-4, 1e-4, max_terms=100)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
     def test_rejects_bad_tol(self, tol):

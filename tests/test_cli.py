@@ -338,6 +338,24 @@ class TestExitCodes:
         assert status == 2
         assert "usage error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--quantity", "free-energy", "--field", "em", "--var", "temp",
+             "--from", "-10", "--to", "10", "--points", "3"],
+            ["sweep", "--quantity", "force", "--field", "em", "--var", "a",
+             "--from", "0", "--to", "1", "--points", "3"],
+            ["e0", "--field", "em", "--a", "-2", "--b", "2", "--c", "2"],
+        ],
+    )
+    def test_invalid_input_writes_nothing(self, argv):
+        # sides and temperatures, every sweep point included, are validated
+        # before the header is printed
+        status, out, err = run_cli(argv)
+        assert status == 2
+        assert out == ""
+        assert "usage error" in err
+
     def test_convergence_error_exit_3(self):
         status, _, err = run_cli(
             [

@@ -14,6 +14,7 @@ from casimirbox.specfun import (
     ZETA3,
     bessel_k,
     exp_tail_bound,
+    richardson_derivative,
 )
 
 # pinned by the quadrature oracle (see data/fixtures.txt)
@@ -121,3 +122,15 @@ def test_tail_bound_domain_errors():
         exp_tail_bound(1.0, -1.0, 1)
     with pytest.raises(ValueError):
         exp_tail_bound(-1.0, 1.0, 1)
+
+
+def test_richardson_derivative_levels_and_disagreement():
+    # f = x^3 at x = 1, h = 1/2, all exact in binary: the step-h level is
+    # f'(1) + h^2 f'''(1)/6 = 3.25, the step-h/2 level 3.0625, and the
+    # extrapolation removes the h^2 term exactly
+    slope, disagreement = richardson_derivative(lambda x: x**3, 1.0, 0.5)
+    assert slope == 3.0
+    assert disagreement == (3.25 - 3.0625) / 3.25
+    # a linear function has no error term; a constant has no scale
+    assert richardson_derivative(lambda x: 2.0 * x + 1.0, 1.0, 0.25) == (2.0, 0.0)
+    assert richardson_derivative(lambda x: 5.0, 1.0, 0.25) == (0.0, 0.0)

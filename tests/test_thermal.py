@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from casimirbox import _modesum
+from casimirbox import _modesum, thermal, validate
 from casimirbox.boxzero import BoxGeometry, FieldKind, e0
 from casimirbox.errors import ConvergenceError
 from casimirbox.specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
@@ -132,6 +132,59 @@ class TestThermalRaw:
             series((1.0, 2.0, 3.0), tol)
         with pytest.raises(ValueError, match="tol"):
             series((1.0, 2.0), tol)
+
+
+def brute_mode_sum(kernel, betas, cutoff):
+    """Fixed-cutoff sum of a mode kernel over m_i = 1..cutoff on every axis."""
+    axes = np.meshgrid(*[np.arange(1, cutoff + 1, dtype=float)] * len(betas), indexing="ij")
+    r = np.sqrt(sum((b * m) ** 2 for b, m in zip(betas, axes)))
+    if kernel == "force":
+        terms = axes[0] ** 2 / (r * np.expm1(r))
+    else:
+        terms = r / np.expm1(r)
+    return math.fsum(terms.ravel())
+
+
+class TestShellSum:
+    # anisotropic lattices; each cutoff keeps every point with r below 50,
+    # so the brute-force truncation is below 1e-18 of the sum
+    TRIPLE = (1.1, 1.9, 3.7)
+    PAIRS = ((0.45, 1.7), (3.7, 0.6))
+    TOL = 1e-12
+
+    def test_log_triple_against_direct_sum(self):
+        direct = validate._oracle_x(self.TRIPLE, 50)
+        assert _modesum.log_sum(self.TRIPLE, self.TOL) == pytest.approx(direct, rel=1e-11)
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_log_pair_against_direct_sum(self, pair):
+        direct = validate._oracle_log_double(*pair, 120)
+        assert _modesum.log_sum(pair, self.TOL) == pytest.approx(direct, rel=1e-11)
+
+    @pytest.mark.parametrize("kernel", ["force", "energy"])
+    @pytest.mark.parametrize("betas", [TRIPLE, *PAIRS])
+    def test_force_and_energy_against_brute_force(self, kernel, betas):
+        series = getattr(_modesum, f"{kernel}_sum")
+        direct = brute_mode_sum(kernel, betas, 50 if len(betas) == 3 else 120)
+        assert series(betas, self.TOL) == pytest.approx(direct, rel=1e-11)
+
+    def test_em_lattices_against_direct_sums(self):
+        # 2 x triple + the three one-zero-index lattices; the force keeps
+        # only the two lattices that contain the a axis
+        ba, bb, bc = self.TRIPLE
+        y = thermal._field_sum(_modesum.log_sum, EM, self.TRIPLE, self.TOL, 10**7)
+        assert y == pytest.approx(validate._oracle_y(self.TRIPLE, 50), rel=1e-11)
+        force = thermal._field_sum(
+            _modesum.force_sum, EM, self.TRIPLE, self.TOL, 10**7, a_derivative=True
+        )
+        direct = math.fsum(
+            [
+                2.0 * brute_mode_sum("force", self.TRIPLE, 50),
+                brute_mode_sum("force", (ba, bb), 120),
+                brute_mode_sum("force", (ba, bc), 120),
+            ]
+        )
+        assert force == pytest.approx(direct, rel=1e-11)
 
 
 class TestBlackbody:
