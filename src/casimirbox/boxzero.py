@@ -26,9 +26,11 @@ ascending before evaluating, so every G and R argument is at least 1 and
 the result does not depend on the order the sides were given in.
 `e0_scalar` and `e0_em` evaluate in the slot order they are given.
 
-Truncations are justified by explicit geometric tail bounds on the
-exponential decay of the Bessel kernels; the summation order is fixed
-(rows for G, increasing ellipse radius for R) so results are deterministic.
+G is summed row by row, each truncation justified by an explicit
+geometric tail bound on the exponential decay of K_1.  R's kernel K_{3/2}
+is elementary, so its sum over j is taken in closed form at each lattice
+point, and the (l, p) plane is cut once, at a radius fixed a priori by an
+analytic bound on the discarded points.
 """
 
 from __future__ import annotations
@@ -165,20 +167,6 @@ def lattice_g(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_T
     return -running / (2.0 * PI)
 
 
-def _r_pointwise_tail(rho: np.ndarray, x: np.ndarray, j_done: int) -> np.ndarray:
-    """Upper bound on sum_{j > j_done} (j/rho)^{3/2} K_{3/2}(2 pi j rho).
-
-    Uses the elementary form (j/rho)^{3/2} K_{3/2}(2 pi j rho)
-    = (j/(2 rho^2)) x^j (1 + 1/(2 pi j rho)) with x = exp(-2 pi rho), and
-    the exact geometric sums of j x^j and x^j.
-    """
-    with np.errstate(under="ignore"):
-        xj = x ** (j_done + 1)
-        lin = xj * ((j_done + 1) - j_done * x) / (1.0 - x) ** 2
-        flat = xj / ((2.0 * PI * rho) * (1.0 - x))
-        return (lin + flat) / (2.0 * rho**2)
-
-
 def lattice_r(
     z1: float,
     z2: float,
@@ -187,10 +175,13 @@ def lattice_r(
 ) -> float:
     """Lattice sum R(z1, z2) over (l, p) in Z^2 minus the origin, j >= 1.
 
-    The (l, p) plane is enumerated by increasing ellipse radius
-    rho = sqrt(l^2 z1^2 + p^2 z2^2) up to a cutoff radius R chosen from an
-    analytic bound on the discarded tail, and the points are accumulated
-    in that radial order.  Symmetric under z1 <-> z2.
+    K_{3/2} is elementary: with x = exp(-2 pi rho),
+    (j/rho)^{3/2} K_{3/2}(2 pi j rho) = (j/(2 rho^2)) x^j (1 + 1/(2 pi j rho)),
+    so each point's sum over j is the closed form
+    (x/(1-x)^2 + x/(2 pi rho (1-x))) / (2 rho^2).  The (l, p) plane is cut
+    once, at the ellipse radius rho = sqrt(l^2 z1^2 + p^2 z2^2) = R where an
+    analytic bound on the discarded points reaches tol times the largest
+    term.  Symmetric under z1 <-> z2.
     """
     for name, v in (("z1", z1), ("z2", z2)):
         if not (math.isfinite(v) and v > 0.0):
@@ -212,57 +203,27 @@ def lattice_r(
     first = 2.0 * (1.0 / rho_min) ** 1.5 * bessel_k(1.5, 2.0 * PI * rho_min)
     if first == 0.0:
         return 0.0
+    # the discarded points then sum to at most cb qq exp(-pi R) = tol first
     radius = (math.log(cb * qq) - math.log(tol * first)) / PI
     radius = max(radius, 1.5 * rho_min + 1.0)
 
-    while True:
-        n1 = int(radius / z1) + 1
-        n2 = int(radius / z2) + 1
-        points = (n1 + 1) * (n2 + 1)
-        if points > max_terms:
-            raise budget_error("lattice_r", tol, f"needs {points} lattice points", max_terms)
-        l = np.arange(0, n1 + 1, dtype=float)
-        p = np.arange(0, n2 + 1, dtype=float)
-        rho2 = (l[:, None] * z1) ** 2 + (p[None, :] * z2) ** 2
-        mask = (rho2 <= radius * radius) & (rho2 > 0.0)
-        rho = np.sqrt(rho2[mask])
-        weight = np.where(
-            (l[:, None] == 0) | (p[None, :] == 0), 2.0, 4.0
-        )[mask]
-        order = np.argsort(rho, kind="stable")
-        rho = rho[order]
-        weight = weight[order]
-
-        with np.errstate(under="ignore"):
-            x = np.exp(-2.0 * PI * rho)
-        acc = np.zeros_like(rho)
-        alive = np.arange(len(rho))
-        used = 0
-        j = 1
-        while alive.size:
-            r_a = rho[alive]
-            with np.errstate(under="ignore"):
-                term = (j / r_a) ** 1.5 * bessel_k(1.5, 2.0 * PI * j * r_a)
-            acc[alive] += term
-            used += alive.size
-            if used > max_terms:
-                raise budget_error("lattice_r", tol, f"not reached after {used} terms", max_terms)
-            rem_pt = _r_pointwise_tail(r_a, x[alive], j)
-            rem = float(np.dot(weight[alive], rem_pt))
-            partial = float(np.dot(weight, acc))
-            if rem <= 0.1 * tol * max(partial, first):
-                break
-            # points whose whole remaining j-tail is negligible even summed
-            # over every lattice point stop iterating (adds < 0.004 tol |S|)
-            floor = 0.001 * tol * max(partial, first) / (4.0 * len(rho))
-            alive = alive[rem_pt > floor]
-            j += 1
-        # radial-order accumulation of the per-point totals
-        total = math.fsum(np.asarray(weight * acc))
-        tail = cb * qq * math.exp(-PI * radius)
-        if tail <= tol * max(total, first):
-            return z1 * z2 / 8.0 * total
-        radius *= 1.4
+    n1 = int(radius / z1) + 1
+    n2 = int(radius / z2) + 1
+    points = (n1 + 1) * (n2 + 1)
+    if points > max_terms:
+        raise budget_error("lattice_r", tol, f"needs {points} lattice points", max_terms)
+    l = np.arange(0, n1 + 1, dtype=float)
+    p = np.arange(0, n2 + 1, dtype=float)
+    rho2 = (l[:, None] * z1) ** 2 + (p[None, :] * z2) ** 2
+    mask = (rho2 <= radius * radius) & (rho2 > 0.0)
+    rho = np.sqrt(rho2[mask])
+    weight = np.where((l[:, None] == 0) | (p[None, :] == 0), 2.0, 4.0)[mask]
+    y = 2.0 * PI * rho
+    with np.errstate(under="ignore"):
+        x = np.exp(-y)
+        one_minus_x = -np.expm1(-y)
+        per_point = (x / one_minus_x**2 + x / (y * one_minus_x)) / (2.0 * rho**2)
+    return z1 * z2 / 8.0 * math.fsum(weight * per_point)
 
 
 def e0_scalar(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:

@@ -93,11 +93,13 @@ def _cmd_box(args, out) -> int:
     quantity = args.command
     temperature = 0.0 if quantity == "e0" else args.temp
     prefix, geom, tp = _box_point(args, args.a, temperature)
+    # computed before the header, so a failing series leaves stdout empty
+    cells = _box_cells(args, geom, tp, quantity)
     header = BOX_HEADER
     if quantity == "thermo":
         header = BOX_HEADER.replace(",error", ",u_dimless,u_SI,s_kB,error")
     print(header, file=out)
-    print(",".join(prefix + _box_cells(args, geom, tp, quantity) + [""]), file=out)
+    print(",".join(prefix + cells + [""]), file=out)
     return 0
 
 

@@ -48,11 +48,16 @@ def budget_error(series: str, tol: float, need: str, budget: int) -> Convergence
     )
 
 
+#: Largest accepted relative tolerance; a looser one would stop a series
+#: while its tail still changes the leading digits.
+MAX_TOL = 1e-3
+
+
 def check_tol(tol: float) -> None:
-    """Raise ValueError unless tol is a finite positive number.
+    """Raise ValueError unless 0 < tol <= MAX_TOL.
 
     A NaN tolerance fails every `tail <= tol * ...` comparison, so a
     series given one would never stop.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+    if not (math.isfinite(tol) and 0.0 < tol <= MAX_TOL):
+        raise ValueError(f"tol must be a finite number in (0, {MAX_TOL:g}], got {tol!r}")

@@ -23,9 +23,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-import mpmath
 import numpy as np
-from scipy.integrate import quad
 
 from . import _modesum, boxzero, plates, thermal
 from .boxzero import BoxGeometry, FieldKind
@@ -54,6 +52,8 @@ def oracle_bessel_k(order: float, x: float) -> float:
 
     Valid for x in [0.01, 50]; independent of specfun's evaluation.
     """
+    from scipy.integrate import quad  # about 0.3 s to import; only this oracle needs it
+
     if order not in (0.5, 1.0, 1.5):
         raise ValueError(f"unsupported order {order!r}")
     if not (_ORACLE_X_RANGE[0] <= x <= _ORACLE_X_RANGE[1]):
@@ -73,6 +73,8 @@ def oracle_bessel_k(order: float, x: float) -> float:
 
 def _oracle_g(z: float, cutoff: int) -> float:
     """Brute-force G(z), 30-digit arithmetic, n, l <= cutoff."""
+    import mpmath
+
     with mpmath.workdps(30):
         zz = mpmath.mpf(repr(z))
         total = mpmath.mpf(0)
@@ -89,6 +91,8 @@ def _oracle_g(z: float, cutoff: int) -> float:
 
 def _oracle_r(z1: float, z2: float, cutoff: int) -> float:
     """Brute-force R(z1, z2), 30-digit arithmetic, |l|, |p|, j <= cutoff."""
+    import mpmath
+
     with mpmath.workdps(30):
         m1 = mpmath.mpf(repr(z1))
         m2 = mpmath.mpf(repr(z2))
@@ -470,80 +474,111 @@ def _fixture_actual(fix: Fixture) -> float:
 def run_checks(name_filter: str | None = None, fixtures_path=None) -> list[CheckResult]:
     """Run fixture comparisons plus closed-form golden checks.
 
-    A fresh checkout passes every check; perturbing a fixture value makes
-    exactly that check fail.
+    Only the checks whose name contains name_filter run.  A fresh checkout
+    passes every check; perturbing a fixture value makes exactly that
+    check fail.
     """
     results: list[CheckResult] = []
 
-    def add(name: str, expected: float, actual: float, tol: float):
-        results.append(CheckResult(name, _rel(expected, actual) <= tol, expected, actual, tol))
+    def selected(name: str) -> bool:
+        return not name_filter or name_filter in name
 
-    def add_bound(name: str, actual: float, bound: float):
+    def add(name: str, tol: float, values):
+        # values() -> (expected, actual), called only for a selected check
+        if selected(name):
+            expected, actual = values()
+            results.append(CheckResult(name, _rel(expected, actual) <= tol, expected, actual, tol))
+
+    def add_bound(name: str, bound: float, value):
         # for deviation-style quantities whose target is plain smallness
-        results.append(CheckResult(name, abs(actual) <= bound, 0.0, actual, bound))
+        if selected(name):
+            actual = value()
+            results.append(CheckResult(name, abs(actual) <= bound, 0.0, actual, bound))
 
     for fix in load_fixtures(fixtures_path):
-        add(f"fixture:{fix.name}", fix.value, _fixture_actual(fix), fix.tol)
+        add(f"fixture:{fix.name}", fix.tol, lambda fix=fix: (fix.value, _fixture_actual(fix)))
 
     # closed-form Bessel anchors
-    add("bessel:k_half_closed_form", math.sqrt(PI / 4.0) * math.exp(-2.0), bessel_k(0.5, 2.0), 1e-13)
     add(
-        "bessel:recurrence_k32",
-        bessel_k(0.5, 1.0) * 2.0,
-        bessel_k(1.5, 1.0),
+        "bessel:k_half_closed_form",
         1e-13,
+        lambda: (math.sqrt(PI / 4.0) * math.exp(-2.0), bessel_k(0.5, 2.0)),
     )
-    grid = np.linspace(0.01, 50.0, 20)
-    dev = max(
-        _rel(oracle_bessel_k(order, float(x)), bessel_k(order, float(x)))
-        for order in (0.5, 1.0, 1.5)
-        for x in grid
-    )
-    add_bound("bessel:quadrature_grid_max_dev", dev, 1e-11)
+    add("bessel:recurrence_k32", 1e-13, lambda: (bessel_k(0.5, 1.0) * 2.0, bessel_k(1.5, 1.0)))
+
+    def quadrature_grid_max_dev() -> float:
+        grid = np.linspace(0.01, 50.0, 20)
+        return max(
+            _rel(oracle_bessel_k(order, float(x)), bessel_k(order, float(x)))
+            for order in (0.5, 1.0, 1.5)
+            for x in grid
+        )
+
+    add_bound("bessel:quadrature_grid_max_dev", 1e-11, quadrature_grid_max_dev)
 
     # paper-anchored electromagnetic cube energy (dimensionless a*E0)
     cube = BoxGeometry(1.0, 1.0, 1.0)
-    add("boxzero:em_cube_energy", 0.09166, boxzero.e0_em(cube), 0.0055)
+    add("boxzero:em_cube_energy", 0.0055, lambda: (0.09166, boxzero.e0_em(cube)))
 
     # blackbody internal-energy density, electromagnetic: pi^2 (kT)^4 / 15
     tp = ThermalPoint(300.0)
     add(
         "thermal:planck_density",
-        PI**2 * tp.kt**4 / 15.0,
-        thermal.blackbody_internal_density(tp, FieldKind.ELECTROMAGNETIC),
         1e-10,
+        lambda: (
+            PI**2 * tp.kt**4 / 15.0,
+            thermal.blackbody_internal_density(tp, FieldKind.ELECTROMAGNETIC),
+        ),
     )
 
     # heat-kernel route to the subtraction coefficients
-    coeffs = thermal.subtraction_coeffs(cube, FieldKind.SCALAR_DIRICHLET)
-    a_half, a_one = thermal.heat_kernel_coeffs(cube)
-    add("thermal:alpha1_heat_kernel", -ZETA3 * a_half / (4.0 * PI**1.5), coeffs.alpha1, 1e-12)
-    add("thermal:alpha2_heat_kernel", -a_one / 24.0, coeffs.alpha2, 1e-12)
+    add(
+        "thermal:alpha1_heat_kernel",
+        1e-12,
+        lambda: (
+            -ZETA3 * thermal.heat_kernel_coeffs(cube)[0] / (4.0 * PI**1.5),
+            thermal.subtraction_coeffs(cube, FieldKind.SCALAR_DIRICHLET).alpha1,
+        ),
+    )
+    add(
+        "thermal:alpha2_heat_kernel",
+        1e-12,
+        lambda: (
+            -thermal.heat_kernel_coeffs(cube)[1] / 24.0,
+            thermal.subtraction_coeffs(cube, FieldKind.SCALAR_DIRICHLET).alpha2,
+        ),
+    )
 
     # thermodynamic consistency at desk scale
     box2um = BoxGeometry(2e-6, 2e-6, 2e-6)
-    rep_em = oracle_thermo_consistency(box2um, FieldKind.ELECTROMAGNETIC, 300.0)
-    add_bound("thermo:em_cube_300K", rep_em.max_deviation, 1e-4)
-    rep_s = oracle_thermo_consistency(box2um, FieldKind.SCALAR_DIRICHLET, 50.0)
-    add_bound("thermo:scalar_cube_50K", rep_s.max_deviation, 1e-4)
+    add_bound(
+        "thermo:em_cube_300K",
+        1e-4,
+        lambda: oracle_thermo_consistency(box2um, FieldKind.ELECTROMAGNETIC, 300.0).max_deviation,
+    )
+    add_bound(
+        "thermo:scalar_cube_50K",
+        1e-4,
+        lambda: oracle_thermo_consistency(box2um, FieldKind.SCALAR_DIRICHLET, 50.0).max_deviation,
+    )
 
     # plates: low-temperature expansion and classical limit
     t10 = _plates_cfg_for_t(1e-6, 10.0)
     f_expansion = -(PI**2) / (720.0 * t10.separation**3) * (
         1.0 + 45.0 * ZETA3 / PI**3 / 10.0**3 - 1.0 / 10.0**4
     )
-    add("plates:low_t_expansion", f_expansion, plates.plates_free_energy(t10), 1e-6)
+    add("plates:low_t_expansion", 1e-6, lambda: (f_expansion, plates.plates_free_energy(t10)))
     t005 = _plates_cfg_for_t(1e-6, 0.05)
     f_classical = -t005.kt * ZETA3 / (8.0 * PI * t005.separation**2)
-    add("plates:classical_limit", f_classical, plates.plates_free_energy(t005), 1e-3)
-    p_fd = _plates_pressure_reference(t10)
-    add("plates:pressure_consistency", p_fd, plates.plates_pressure(t10), 1e-5)
+    add("plates:classical_limit", 1e-3, lambda: (f_classical, plates.plates_free_energy(t005)))
+    add(
+        "plates:pressure_consistency",
+        1e-5,
+        lambda: (_plates_pressure_reference(t10), plates.plates_pressure(t10)),
+    )
 
     # reduced-variable anchor: a = 2 um, T = 300 K gives t ~ 1.908
-    add("units:reduced_t_anchor", 1.9082371, ThermalPoint(300.0).reduced_t(2e-6), 1e-4)
-
-    if name_filter:
-        results = [r for r in results if name_filter in r.name]
+    add("units:reduced_t_anchor", 1e-4, lambda: (1.9082371, ThermalPoint(300.0).reduced_t(2e-6)))
     return results
 
 

@@ -60,7 +60,7 @@ class TestLatticeG:
         with pytest.raises(ConvergenceError, match=match):
             lattice_g(1e-5, max_terms=100)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10, 0.5])
     def test_rejects_bad_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
             lattice_g(1.0, tol)
@@ -70,6 +70,12 @@ class TestLatticeR:
     def test_pinned_values(self):
         assert lattice_r(1.0, 1.0) == pytest.approx(R_AT_1_1, rel=1e-9)
         assert lattice_r(0.5, 2.0) == pytest.approx(R_AT_05_2, rel=1e-9)
+
+    # (0.9999, 1) is the argument e0_force_x passes for a unit cube
+    @pytest.mark.parametrize("z1, z2", [(1.0, 1.0), (0.5, 2.0), (1.0, 100.0), (0.9999, 1.0)])
+    def test_matches_30_digit_oracle(self, z1, z2):
+        oracle = validate._oracle_r(z1, z2, 60)
+        assert lattice_r(z1, z2) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
     def test_symmetry(self):
         assert lattice_r(1.0, 2.0) == pytest.approx(lattice_r(2.0, 1.0), rel=1e-12)
@@ -86,7 +92,7 @@ class TestLatticeR:
         with pytest.raises(ConvergenceError, match=match):
             lattice_r(1e-4, 1e-4, max_terms=100)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10, 0.5])
     def test_rejects_bad_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
             lattice_r(1.0, 2.0, tol)

@@ -357,7 +357,7 @@ class TestExitCodes:
         assert "usage error" in err
 
     def test_convergence_error_exit_3(self):
-        status, _, err = run_cli(
+        status, out, err = run_cli(
             [
                 "free-energy",
                 "--field",
@@ -376,10 +376,11 @@ class TestExitCodes:
         )
         assert status == 3
         assert "convergence error" in err
+        assert out == ""
 
 
 class TestTolerance:
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10", "abc"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10", "abc", "0.5"])
     def test_bad_tol_is_usage_error(self, tol, capsys):
         start = time.perf_counter()
         status, out, _ = run_cli(["plates", "--a", "2", "--temp", "300", "--tol", tol])

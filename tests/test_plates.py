@@ -87,7 +87,7 @@ class TestFreeEnergy:
         with pytest.raises(ValueError):
             plates_free_energy(PlatesConfig(1e-6, 300.0), tol=-1.0)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, 0.5])
     def test_rejects_non_finite_tol(self, tol):
         cfg = PlatesConfig(1e-6, 300.0)
         with pytest.raises(ValueError, match="tol"):

@@ -126,7 +126,7 @@ class TestThermalRaw:
             thermal_raw(big, SCALAR, hot, max_points=1000)
 
     @pytest.mark.parametrize("series", [_modesum.log_sum, _modesum.force_sum, _modesum.energy_sum])
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10, 0.5])
     def test_mode_sums_reject_bad_tol(self, series, tol):
         with pytest.raises(ValueError, match="tol"):
             series((1.0, 2.0, 3.0), tol)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -185,3 +188,18 @@ class TestRunChecks:
         results = validate.run_checks(name_filter="plates")
         assert results
         assert all("plates" in r.name for r in results)
+
+    def test_filter_skips_the_oracles_of_unselected_checks(self):
+        # scipy.integrate and mpmath are imported only by oracles that
+        # the plates checks do not run
+        code = (
+            "import sys; from casimirbox import validate; validate.run_checks('plates'); "
+            "print(sorted(m for m in ('scipy.integrate', 'mpmath') if m in sys.modules))"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
