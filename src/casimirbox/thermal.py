@@ -19,16 +19,34 @@ temperatures through kT/(hbar c) in 1/m).
 
 Force, internal energy and entropy come from exact term-wise derivatives
 of the same representation; no numerical differentiation on the main path.
+
+Accuracy contract.  `free_energy`, `force_x`, `internal_energy` and
+`entropy` are views of one row per state point (T > 0), which enumerates
+each of the field's mode lattices once for the log, energy and force
+kernels.  `tol` bounds each printed total: the truncation error of the mode
+series in F, U, S kT and the force, bounded by the tail bounds the sums
+return, is at most tol times that total, or eps times the size of its
+pieces where the total cancels below that.  A row that misses is summed
+once more to a larger radius.  `thermal_raw` sums its series to tol alone.
+
+Caches.  Two one-entry caches, neither a setting: the last row, keyed on
+the exact (sides, field, T, tol, max_points), so F, the force, U and S
+asked for in turn cost one row; and the last box's E0 and zero-T force,
+keyed on (a, sorted sides, field, tol), so a temperature sweep evaluates
+them once.  Each output depends only on its own inputs, never on the order
+of the calls.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _modesum
 from .boxzero import BoxGeometry, FieldKind, e0, e0_force_x, DEFAULT_TOL
-from .errors import ConvergenceError  # noqa: F401  (re-raised from _modesum)
+from .errors import ConvergenceError, DerivativeInstabilityError  # noqa: F401  (re-raised)
 from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
 
 __all__ = [
@@ -129,24 +147,40 @@ def mode_frequency(n: int, l: int, p: int, geom: BoxGeometry) -> float:
     return PI * math.sqrt((n / geom.a) ** 2 + (l / geom.b) ** 2 + (p / geom.c) ** 2)
 
 
-def _field_sum(
-    series, field: FieldKind, betas, tol: float, max_points: int, a_derivative: bool = False
-) -> float:
-    """One mode series summed over the field's mode lattices.
+def _lattices(field: FieldKind, betas):
+    """(multiplicity, reduced frequencies, contains the a axis) of each of
+    the field's mode lattices.
 
-    scalar: the n, l, p >= 1 triple lattice.  em: the triple lattice
-    twice (two polarizations) plus the three lattices with exactly one
-    index zero.  With a_derivative, the em sum keeps only the two of
-    those that contain the a axis: the (l, p) lattice's frequencies do not
-    depend on a.  `series` is one of the `_modesum` sums, looked up by the
-    caller at call time.
+    scalar: the n, l, p >= 1 triple lattice.  em: the triple lattice twice
+    (two polarizations) plus the three lattices with exactly one index
+    zero.  The a axis comes first wherever it occurs, as the force kernel's
+    n requires; the (l, p) lattice's frequencies do not depend on a.
     """
-    triple = series(betas, tol, max_points)
     if field is FieldKind.SCALAR_DIRICHLET:
-        return triple
+        return [(1, betas, True)]
     ba, bb, bc = betas
-    pairs = ((ba, bb), (ba, bc)) if a_derivative else ((bb, bc), (ba, bb), (ba, bc))
-    return 2.0 * triple + math.fsum(series(pair, tol, max_points) for pair in pairs)
+    return [(2, betas, True), (1, (bb, bc), False), (1, (ba, bb), True), (1, (ba, bc), True)]
+
+
+def _mode_sums(
+    field: FieldKind, betas, tol: float, max_points: int,
+    kernels=("log", "energy", "force"), tighten: float = 1.0,
+) -> tuple[dict, dict]:
+    """Each kernel summed over the field's mode lattices with their
+    multiplicities, and the tail bounds summed the same way.
+
+    Each lattice is enumerated once for all the kernels; the force kernel
+    runs only on the lattices that contain the a axis.
+    """
+    sums: dict = {name: [] for name in kernels}
+    bounds = dict.fromkeys(kernels, 0.0)
+    for mult, lattice, has_a in _lattices(field, betas):
+        names = kernels if has_a else tuple(k for k in kernels if k != "force")
+        res = _modesum.lattice_sums(lattice, tol, max_points, names, tighten)
+        for name in names:
+            sums[name].append(mult * res.sums[name])
+            bounds[name] += mult * res.bounds[name]
+    return {name: math.fsum(parts) for name, parts in sums.items()}, bounds
 
 
 def thermal_raw(
@@ -165,7 +199,7 @@ def thermal_raw(
     """
     if tp.temperature == 0.0:
         return 0.0
-    return tp.kt * _field_sum(_modesum.log_sum, field, tp.reduced(geom), tol, max_points)
+    return tp.kt * _mode_sums(field, tp.reduced(geom), tol, max_points, ("log",))[0]["log"]
 
 
 def blackbody_density(tp: ThermalPoint, field: FieldKind) -> float:
@@ -224,6 +258,131 @@ def heat_kernel_coeffs(geom: BoxGeometry) -> tuple[float, float]:
     return (a_half, a_one)
 
 
+def _subtraction_terms(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint):
+    """(bb_term, alpha1_term, alpha2_term) of the free energy, signs included."""
+    coeffs = subtraction_coeffs(geom, field)
+    kt = tp.kt
+    return (
+        coeffs.bb_prefactor * kt**4 * geom.volume,
+        -coeffs.alpha1 * kt**3,
+        -coeffs.alpha2 * kt**2,
+    )
+
+
+def _force_subtraction_terms(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint):
+    """-d/da of (bb_term, alpha1_term, alpha2_term)."""
+    _, b, c = geom.sides
+    kt = tp.kt
+    if field is FieldKind.SCALAR_DIRICHLET:
+        return (-(PI**2) * kt**4 * b * c / 90.0, ZETA3 * kt**3 * (b + c) / (4.0 * PI),
+                -PI * kt**2 / 24.0)
+    return (-(PI**2) * kt**4 * b * c / 45.0, 0.0, PI * kt**2 / 12.0)
+
+
+#: One-entry memo of (key, E0, zero-T force) for `_zero_t`.
+_zero_t_memo = None
+
+
+def _zero_t(geom: BoxGeometry, field: FieldKind, tol: float):
+    """(E0, zero-T force) of the box, the force replaced by the
+    DerivativeInstabilityError its finite difference raised, if it did.
+
+    Memoized for the last geometry asked for, so a temperature sweep
+    evaluates them once.  E0 depends on the sides only through their sorted
+    order, the force also on which of them is a.
+    """
+    global _zero_t_memo
+    key = (geom.a, tuple(sorted(geom.sides)), field, tol)
+    if _zero_t_memo is None or _zero_t_memo[0] != key:
+        e0_ren = e0(geom, field, tol)
+        try:
+            f0 = e0_force_x(geom, field, tol)
+        except DerivativeInstabilityError as exc:
+            f0 = exc
+        _zero_t_memo = (key, e0_ren, f0)
+    return _zero_t_memo[1:]
+
+
+class _Row(NamedTuple):
+    """F, the force, U and S at one state point with T > 0."""
+
+    free: EnergyBreakdown
+    #: (zero-T force, thermal mode term, bb, alpha1, alpha2 terms), or the
+    #: DerivativeInstabilityError of the zero-T force
+    force_parts: object
+    internal: float
+    entropy: float
+
+
+#: Relative roundoff floor of the accuracy check: a total that cancels its
+#: pieces to below eps times their size cannot be printed to tol.
+_EPS = sys.float_info.epsilon
+
+#: One-entry cache of (key, row) for `_row`.
+_last_row = None
+
+
+def _row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: float,
+         max_points: int) -> _Row:
+    """The row at this state point; the last one evaluated is kept, so F,
+    the force, U and S asked for in turn cost one evaluation."""
+    global _last_row
+    key = (geom.sides, field, tp.temperature, tol, max_points)
+    if _last_row is None or _last_row[0] != key:
+        _last_row = (key, _evaluate_row(geom, field, tp, tol, max_points))
+    return _last_row[1]
+
+
+def _evaluate_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: float,
+                  max_points: int) -> _Row:
+    """F, the force, U and S from one enumeration of each mode lattice.
+
+    Each total T_q is a sum of pieces, among them a mode series whose
+    truncation error is at most its prefactor times the multiplicity-
+    weighted tail bounds (kT for F and U, kT for both series of S kT,
+    pi^2 beta / a^3 for the force).  That error must be at most
+    tol |T_q|, or eps times the sum of the pieces' sizes where the total
+    cancels below it.  If any total misses, the lattices are summed once
+    more with every tail bound cut by the worst ratio.
+    """
+    e0_ren, f0 = _zero_t(geom, field, tol)
+    kt = tp.kt
+    bb, a1, a2 = _subtraction_terms(geom, field, tp)
+    force_scale = PI**2 * tp.beta / geom.a**3
+    force_terms = _force_subtraction_terms(geom, field, tp)
+    has_force = not isinstance(f0, DerivativeInstabilityError)
+    betas = tp.reduced(geom)
+    tighten = 1.0
+    while True:
+        sums, bounds = _mode_sums(field, betas, tol, max_points, tighten=tighten)
+        raw, modes_u, modes_f = kt * sums["log"], kt * sums["energy"], force_scale * sums["force"]
+        # (pieces of a total, bound on its truncation error): F, U, S kT, force
+        checks = [
+            ([e0_ren, raw, bb, a1, a2], kt * bounds["log"]),
+            ([e0_ren, modes_u, -3.0 * bb, -2.0 * a1, -a2], kt * bounds["energy"]),
+            ([modes_u, -raw, -4.0 * bb, -3.0 * a1, -2.0 * a2],
+             kt * (bounds["log"] + bounds["energy"])),
+        ]
+        if has_force:
+            checks.append(([f0, modes_f, *force_terms], force_scale * bounds["force"]))
+        worst = max(
+            err / max(tol * abs(math.fsum(pieces)), _EPS * math.fsum(map(abs, pieces)))
+            for pieces, err in checks
+        )
+        if worst <= 1.0 or tighten > 1.0:
+            break
+        # a little beyond the worst ratio: re-summed, the totals move by up
+        # to their errors
+        tighten = 1.01 * worst
+    free, internal, entropy_kt = (math.fsum(pieces) for pieces, _ in checks[:3])
+    return _Row(
+        EnergyBreakdown(e0_ren, raw, bb, a1, a2, free),
+        (f0, modes_f, *force_terms) if has_force else f0,
+        internal,
+        entropy_kt / kt,
+    )
+
+
 def free_energy(
     geom: BoxGeometry,
     field: FieldKind,
@@ -237,24 +396,10 @@ def free_energy(
     total = e0_ren + thermal_raw + bb_term + alpha1_term + alpha2_term
     holds identically.
     """
-    e0_ren = e0(geom, field, tol)
     if tp.temperature == 0.0:
+        e0_ren = e0(geom, field, tol)
         return EnergyBreakdown(e0_ren, 0.0, 0.0, 0.0, 0.0, e0_ren)
-    raw = thermal_raw(geom, field, tp, tol, max_points)
-    bb_term, alpha1_term, alpha2_term = _subtraction_terms(geom, field, tp)
-    total = math.fsum([e0_ren, raw, bb_term, alpha1_term, alpha2_term])
-    return EnergyBreakdown(e0_ren, raw, bb_term, alpha1_term, alpha2_term, total)
-
-
-def _subtraction_terms(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint):
-    """(bb_term, alpha1_term, alpha2_term) of the free energy, signs included."""
-    coeffs = subtraction_coeffs(geom, field)
-    kt = tp.kt
-    return (
-        coeffs.bb_prefactor * kt**4 * geom.volume,
-        -coeffs.alpha1 * kt**3,
-        -coeffs.alpha2 * kt**2,
-    )
+    return _row(geom, field, tp, tol, max_points).free
 
 
 def _force_parts(
@@ -274,22 +419,12 @@ def _force_parts(
       em:     + (pi^2/a^3) [sum_{nl} + sum_{np} + 2 sum_{nlp}] n^2/(w(e^{bw}-1))
               - pi^2 (kT)^4 bc/45 + pi (kT)^2 / 12
     """
-    f0 = e0_force_x(geom, field, tol)
     if tp.temperature == 0.0:
-        return (f0, 0.0, 0.0, 0.0, 0.0)
-    a, b, c = geom.sides
-    kt = tp.kt
-    s = _field_sum(_modesum.force_sum, field, tp.reduced(geom), tol, max_points, a_derivative=True)
-    mode = (PI**2 / a**3) * tp.beta * s
-    if field is FieldKind.SCALAR_DIRICHLET:
-        bb_term = -(PI**2) * kt**4 * b * c / 90.0
-        a1_term = ZETA3 * kt**3 * (b + c) / (4.0 * PI)
-        a2_term = -PI * kt**2 / 24.0
-    else:
-        bb_term = -(PI**2) * kt**4 * b * c / 45.0
-        a1_term = 0.0
-        a2_term = PI * kt**2 / 12.0
-    return (f0, mode, bb_term, a1_term, a2_term)
+        return (e0_force_x(geom, field, tol), 0.0, 0.0, 0.0, 0.0)
+    parts = _row(geom, field, tp, tol, max_points).force_parts
+    if isinstance(parts, DerivativeInstabilityError):
+        raise parts.with_traceback(None)
+    return parts
 
 
 def force_x(
@@ -301,13 +436,6 @@ def force_x(
 ) -> float:
     """Casimir force -dF/da between the faces normal to the a axis [1/m^2]."""
     return math.fsum(_force_parts(geom, field, tp, tol, max_points))
-
-
-def _mode_energy(
-    geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: float, max_points: int
-) -> float:
-    """Mode part of the internal energy, kT times the sum of r/(exp(r) - 1)."""
-    return tp.kt * _field_sum(_modesum.energy_sum, field, tp.reduced(geom), tol, max_points)
 
 
 def internal_energy(
@@ -324,10 +452,7 @@ def internal_energy(
     """
     if tp.temperature <= 0.0:
         raise ValueError("internal_energy requires T > 0")
-    e0_ren = e0(geom, field, tol)
-    modes = _mode_energy(geom, field, tp, tol, max_points)
-    bb_term, alpha1_term, alpha2_term = _subtraction_terms(geom, field, tp)
-    return math.fsum([e0_ren, modes, -3.0 * bb_term, -2.0 * alpha1_term, -1.0 * alpha2_term])
+    return _row(geom, field, tp, tol, max_points).internal
 
 
 def entropy(
@@ -340,15 +465,11 @@ def entropy(
     """Entropy (U - F)/(k_B T), dimensionless in units of k_B.
 
     Formed term by term, (modes_U - thermal_raw - 4 bb - 3 alpha1 - 2 alpha2)/kT,
-    where the pieces carry their free-energy signs; E0 cancels exactly and
-    is not evaluated.
+    where the pieces carry their free-energy signs; E0 cancels exactly.
     """
     if tp.temperature <= 0.0:
         raise ValueError("entropy requires T > 0")
-    modes = _mode_energy(geom, field, tp, tol, max_points)
-    raw = thermal_raw(geom, field, tp, tol, max_points)
-    bb_term, alpha1_term, alpha2_term = _subtraction_terms(geom, field, tp)
-    return math.fsum([modes, -raw, -4.0 * bb_term, -3.0 * alpha1_term, -2.0 * alpha2_term]) / tp.kt
+    return _row(geom, field, tp, tol, max_points).entropy
 
 
 def asymptotic_thermal(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint) -> float:

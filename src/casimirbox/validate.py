@@ -354,6 +354,16 @@ _FIXTURE_SPECS = [
 ]
 
 
+#: Boxes of the E0 oracle-equivalence grid, pinned in both fields at cutoff 80.
+E0_GRID = ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (0.5, 1.0, 1.5), (2.0, 1.0, 1.0), (1.0, 3.0, 0.7))
+
+_FIXTURE_SPECS += [
+    (f"e0_grid_{kind}_{a:g}_{b:g}_{c:g}", kind, {"a": a, "b": b, "c": c}, 80, 1e-8)
+    for a, b, c in E0_GRID
+    for kind in ("E0S", "E0EM")
+]
+
+
 def _field_from_flag(flag: float) -> FieldKind:
     return FieldKind.ELECTROMAGNETIC if flag else FieldKind.SCALAR_DIRICHLET
 
@@ -456,13 +466,11 @@ def _fixture_actual(fix: Fixture) -> float:
     if fix.kind in ("X", "Y"):
         field = FieldKind.SCALAR_DIRICHLET if fix.kind == "X" else FieldKind.ELECTROMAGNETIC
         betas = (p["beta_a"], p["beta_b"], p["beta_c"])
-        return thermal._field_sum(
-            _modesum.log_sum, field, betas, 1e-12, _modesum.DEFAULT_MAX_POINTS
-        )
-    if fix.kind == "E0S":
-        return boxzero.e0_scalar(BoxGeometry(p["a"], p["b"], p["c"]))
-    if fix.kind == "E0EM":
-        return boxzero.e0_em(BoxGeometry(p["a"], p["b"], p["c"]))
+        sums, _ = thermal._mode_sums(field, betas, 1e-12, _modesum.DEFAULT_MAX_POINTS, ("log",))
+        return sums["log"]
+    if fix.kind in ("E0S", "E0EM"):
+        field = FieldKind.SCALAR_DIRICHLET if fix.kind == "E0S" else FieldKind.ELECTROMAGNETIC
+        return boxzero.e0(BoxGeometry(p["a"], p["b"], p["c"]), field)
     if fix.kind == "U":
         geom = BoxGeometry(p["a"], p["a"], p["a"])
         return thermal.internal_energy(

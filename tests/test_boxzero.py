@@ -34,7 +34,7 @@ EM = FieldKind.ELECTROMAGNETIC
 
 class TestLatticeG:
     def test_pinned_values(self):
-        assert lattice_g(1.0) == pytest.approx(G_AT_1, rel=1e-9)
+        assert lattice_g(1.0) == pytest.approx(G_AT_1, rel=1e-9, abs=0)
         assert lattice_g(0.5) == pytest.approx(G_AT_05, rel=1e-9)
 
     def test_far_tail_negligible(self):
@@ -68,7 +68,7 @@ class TestLatticeG:
 
 class TestLatticeR:
     def test_pinned_values(self):
-        assert lattice_r(1.0, 1.0) == pytest.approx(R_AT_1_1, rel=1e-9)
+        assert lattice_r(1.0, 1.0) == pytest.approx(R_AT_1_1, rel=1e-9, abs=0)
         assert lattice_r(0.5, 2.0) == pytest.approx(R_AT_05_2, rel=1e-9)
 
     # (0.9999, 1) is the argument e0_force_x passes for a unit cube
@@ -78,7 +78,7 @@ class TestLatticeR:
         assert lattice_r(z1, z2) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
     def test_symmetry(self):
-        assert lattice_r(1.0, 2.0) == pytest.approx(lattice_r(2.0, 1.0), rel=1e-12)
+        assert lattice_r(1.0, 2.0) == pytest.approx(lattice_r(2.0, 1.0), rel=1e-12, abs=0)
 
     def test_far_tail_negligible(self):
         assert abs(lattice_r(12.0, 12.0)) < 1e-25
@@ -115,7 +115,7 @@ class TestZeroTemperatureEnergies:
     def test_scalar_b_c_exchange_symmetry(self):
         g1 = BoxGeometry(1.0, 2.0, 3.0)
         g2 = BoxGeometry(1.0, 3.0, 2.0)
-        assert e0_scalar(g1) == pytest.approx(e0_scalar(g2), rel=1e-12)
+        assert e0_scalar(g1) == pytest.approx(e0_scalar(g2), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("sides", [(1.0, 2.0, 3.0), (2.942, 10.0, 10.0)])
     def test_full_permutation_invariance(self, sides):
@@ -134,7 +134,7 @@ class TestZeroTemperatureEnergies:
 
     def test_scaling_homogeneity_simple(self):
         g = BoxGeometry(1.0, 2.0, 4.0)
-        assert e0_scalar(g.scaled(2.0)) == pytest.approx(e0_scalar(g) / 2.0, rel=1e-10)
+        assert e0_scalar(g.scaled(2.0)) == pytest.approx(e0_scalar(g) / 2.0, rel=1e-10, abs=0)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -145,7 +145,7 @@ class TestZeroTemperatureEnergies:
     def test_homogeneity_random_geometries(self, b, c, lam):
         g = BoxGeometry(1.0, b, c)
         for fn in (e0_scalar, e0_em):
-            assert fn(g.scaled(lam)) == pytest.approx(fn(g) / lam, rel=1e-10)
+            assert fn(g.scaled(lam)) == pytest.approx(fn(g) / lam, rel=1e-10, abs=0)
 
     def test_em_zero_crossings(self):
         # b = c = 10: sign changes near a = 4.08 and a = 34.30

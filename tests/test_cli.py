@@ -38,7 +38,7 @@ class TestE0Command:
         rec = row_as_dict(out)
         assert float(rec["total_dimless"]) == pytest.approx(0.09166, abs=5e-4)
         assert float(rec["total_SI"]) == pytest.approx(
-            0.091657427 * 3.1615267734966903e-26 / 2e-6, rel=1e-6
+            0.091657427 * 3.1615267734966903e-26 / 2e-6, rel=1e-6, abs=0
         )
         assert rec["error"] == ""
 

@@ -77,7 +77,7 @@ class TestFreeEnergy:
         # at fixed t the dimensionless combination a^3 F depends only on t
         f1 = plates_free_energy(cfg_for_t(1e-6, 3.0)) * (1e-6) ** 3
         f2 = plates_free_energy(cfg_for_t(2e-6, 3.0)) * (2e-6) ** 3
-        assert f1 == pytest.approx(f2, rel=1e-12)
+        assert f1 == pytest.approx(f2, rel=1e-12, abs=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

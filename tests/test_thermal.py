@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from casimirbox import _modesum, thermal, validate
 from casimirbox.boxzero import BoxGeometry, FieldKind, e0
-from casimirbox.errors import ConvergenceError
+from casimirbox.errors import ConvergenceError, DerivativeInstabilityError
 from casimirbox.specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
 from casimirbox.thermal import (
     EnergyBreakdown,
@@ -58,12 +60,12 @@ class TestThermalPoint:
 class TestModeFrequency:
     def test_cube_ground_mode(self):
         g = BoxGeometry(1.0, 1.0, 1.0)
-        assert mode_frequency(1, 1, 1, g) == pytest.approx(PI * math.sqrt(3.0), rel=1e-15)
+        assert mode_frequency(1, 1, 1, g) == pytest.approx(PI * math.sqrt(3.0), rel=1e-15, abs=0)
 
     def test_mixed_indices(self):
         g = BoxGeometry(1.0, 2.0, 4.0)
         expected = PI * math.sqrt(4.0 + 0.25 + 1.0 / 16.0)
-        assert mode_frequency(2, 1, 1, g) == pytest.approx(expected, rel=1e-15)
+        assert mode_frequency(2, 1, 1, g) == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_monotone_in_each_index(self):
         g = BoxGeometry(1.0, 1.3, 0.8)
@@ -85,13 +87,13 @@ class TestThermalRaw:
 
     def test_pinned_unit_cube_sums(self):
         betas = (2 * PI, 2 * PI, 2 * PI)
-        assert _modesum.log_sum(betas, 1e-12) == pytest.approx(X_UNIT_CUBE_T1, rel=1e-9)
+        assert _modesum.log_sum(betas, 1e-12) == pytest.approx(X_UNIT_CUBE_T1, rel=1e-9, abs=0)
         doubles = math.fsum(
             _modesum.log_sum(p, 1e-12)
             for p in ((betas[1], betas[2]), (betas[0], betas[1]), (betas[0], betas[2]))
         )
         y = 2.0 * _modesum.log_sum(betas, 1e-12) + doubles
-        assert y == pytest.approx(Y_UNIT_CUBE_T1, rel=1e-9)
+        assert y == pytest.approx(Y_UNIT_CUBE_T1, rel=1e-9, abs=0)
 
     def test_reduced_variable_invariance(self):
         # (a,b,c,T) and (2a,2b,2c,T/2) share the X value exactly
@@ -100,7 +102,7 @@ class TestThermalRaw:
         g2 = CUBE_2UM.scaled(2.0)
         raw1 = thermal_raw(CUBE_2UM, SCALAR, tp1)
         raw2 = thermal_raw(g2, SCALAR, tp2)
-        assert 2.0 * raw2 == pytest.approx(raw1, rel=1e-12)
+        assert 2.0 * raw2 == pytest.approx(raw1, rel=1e-12, abs=0)
 
     def test_vanishes_faster_than_any_power_at_low_t(self):
         g = BoxGeometry(1e-6, 1e-6, 1e-6)
@@ -154,7 +156,7 @@ class TestShellSum:
 
     def test_log_triple_against_direct_sum(self):
         direct = validate._oracle_x(self.TRIPLE, 50)
-        assert _modesum.log_sum(self.TRIPLE, self.TOL) == pytest.approx(direct, rel=1e-11)
+        assert _modesum.log_sum(self.TRIPLE, self.TOL) == pytest.approx(direct, rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("pair", PAIRS)
     def test_log_pair_against_direct_sum(self, pair):
@@ -166,17 +168,15 @@ class TestShellSum:
     def test_force_and_energy_against_brute_force(self, kernel, betas):
         series = getattr(_modesum, f"{kernel}_sum")
         direct = brute_mode_sum(kernel, betas, 50 if len(betas) == 3 else 120)
-        assert series(betas, self.TOL) == pytest.approx(direct, rel=1e-11)
+        assert series(betas, self.TOL) == pytest.approx(direct, rel=1e-11, abs=0)
 
     def test_em_lattices_against_direct_sums(self):
         # 2 x triple + the three one-zero-index lattices; the force keeps
         # only the two lattices that contain the a axis
         ba, bb, bc = self.TRIPLE
-        y = thermal._field_sum(_modesum.log_sum, EM, self.TRIPLE, self.TOL, 10**7)
-        assert y == pytest.approx(validate._oracle_y(self.TRIPLE, 50), rel=1e-11)
-        force = thermal._field_sum(
-            _modesum.force_sum, EM, self.TRIPLE, self.TOL, 10**7, a_derivative=True
-        )
+        sums, _ = thermal._mode_sums(EM, self.TRIPLE, self.TOL, 10**7)
+        assert sums["log"] == pytest.approx(validate._oracle_y(self.TRIPLE, 50), rel=1e-11)
+        force = sums["force"]
         direct = math.fsum(
             [
                 2.0 * brute_mode_sum("force", self.TRIPLE, 50),
@@ -187,6 +187,88 @@ class TestShellSum:
         assert force == pytest.approx(direct, rel=1e-11)
 
 
+def long_double_terms(kernel, n, r):
+    """|kernel| at lattice radii r (long double, so exp(-1500) does not underflow)."""
+    if kernel == "log":
+        return -np.log1p(-np.exp(-r))
+    if kernel == "energy":
+        return r / np.expm1(r)
+    return n * n / (r * np.expm1(r))
+
+
+def integral_test_bound(kernel, betas, radius):
+    """(pi/2) A Gamma(d + k, R - r1) / prod beta, with mpmath's Gamma(s, x)."""
+    import mpmath
+
+    k, s = {"log": (0, 0), "energy": (1, 0), "force": (1, 2)}[kernel]
+    r1 = mpmath.sqrt(sum(mpmath.mpf(b) ** 2 for b in betas))
+    a = mpmath.mpf(betas[0]) ** -s / (1 - mpmath.exp(-r1))
+    bound = mpmath.pi / 2 * a * mpmath.gammainc(len(betas) + k, radius - r1) / mpmath.fprod(betas)
+    return np.longdouble(mpmath.nstr(bound, 25))
+
+
+class TestCutoffBound:
+    """The lattice points beyond the cutoff radius sum to at most the
+    integral-test bound, and that bound meets tol times the first term."""
+
+    EXTRA = 15.0  # the brute-force tail stops at R + EXTRA
+
+    def check(self, kernel, betas, tol):
+        betas = tuple(betas)
+        r1 = math.sqrt(sum(b * b for b in betas))
+        assume(r1 <= 745.0)
+        res = _modesum.lattice_sums(betas, tol, kernels=(kernel,))
+        radius = res.radius
+        # a first term that underflows to 0 is summed as 0, with no cutoff
+        assume(radius > r1)
+        cut = radius + self.EXTRA
+        axes = np.meshgrid(
+            *[np.arange(1, int(cut / b) + 1, dtype=np.longdouble) for b in betas], indexing="ij"
+        )
+        r = np.sqrt(sum((np.longdouble(b) * m) ** 2 for b, m in zip(betas, axes)))
+        beyond = (r > radius) & (r <= cut)
+        tail = long_double_terms(kernel, axes[0][beyond], r[beyond]).sum()
+        bound = integral_test_bound(kernel, betas, radius)
+        assert tail <= bound
+        # the library's first term is a double: below the normal range
+        # exp(-r1) is off by up to a subnormal step, which the energy kernel
+        # multiplies by r1
+        first = long_double_terms(kernel, 1, np.longdouble(r1)) + (r1 + 2) * math.ulp(0.0)
+        assert bound <= tol * first * (1 + 1e-9)
+        if bound > 1e-300:
+            assert res.bounds[kernel] == pytest.approx(float(bound), rel=1e-9, abs=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kernel=st.sampled_from(["log", "energy", "force"]),
+        betas=st.lists(st.floats(min_value=1.0, max_value=8.0), min_size=3, max_size=3),
+        tol=st.floats(min_value=1e-12, max_value=1e-3),
+    )
+    def test_triple_lattices(self, kernel, betas, tol):
+        self.check(kernel, betas, tol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kernel=st.sampled_from(["log", "energy", "force"]),
+        betas=st.lists(st.floats(min_value=0.1, max_value=8.0), min_size=2, max_size=2),
+        tol=st.floats(min_value=1e-12, max_value=1e-3),
+    )
+    def test_pair_lattices(self, kernel, betas, tol):
+        self.check(kernel, betas, tol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kernel=st.sampled_from(["log", "energy", "force"]),
+        betas=st.lists(st.floats(min_value=60.0, max_value=740.0), min_size=2, max_size=3),
+        tol=st.floats(min_value=1e-12, max_value=1e-3),
+    )
+    @example(kernel="log", betas=[720.0, 72.0, 72.0], tol=1e-10)
+    @example(kernel="force", betas=[72.0, 720.0], tol=1e-10)
+    def test_subnormal_first_terms(self, kernel, betas, tol):
+        # near r1 = 745 the first term, and tol times it, are subnormal
+        self.check(kernel, betas, tol)
+
+
 class TestBlackbody:
     def test_zero_at_t0(self):
         assert blackbody_density(ThermalPoint(0.0), SCALAR) == 0.0
@@ -194,8 +276,9 @@ class TestBlackbody:
     def test_scalar_value_at_unit_kt(self):
         # kT = 1 natural: f = -pi^2/90 = -0.109662...
         tp = ThermalPoint(HBAR_C / K_BOLTZMANN)
-        assert tp.kt == pytest.approx(1.0, rel=1e-14)
-        assert blackbody_density(tp, SCALAR) == pytest.approx(-(PI**2) / 90.0 * tp.kt**4, rel=1e-14)
+        assert tp.kt == pytest.approx(1.0, rel=1e-14, abs=0)
+        expected = -(PI**2) / 90.0 * tp.kt**4
+        assert blackbody_density(tp, SCALAR) == pytest.approx(expected, rel=1e-14, abs=0)
         assert blackbody_density(tp, SCALAR) == pytest.approx(-0.109662, abs=1e-6)
 
     def test_em_doubles_scalar(self):
@@ -225,32 +308,32 @@ class TestSubtractionCoefficients:
     def test_scalar_cube(self):
         a = 1.0
         coeffs = subtraction_coeffs(BoxGeometry(a, a, a), SCALAR)
-        assert coeffs.alpha1 == pytest.approx(3.0 * ZETA3 * a**2 / (4.0 * PI), rel=1e-15)
-        assert coeffs.alpha2 == pytest.approx(-PI * a / 8.0, rel=1e-15)
-        assert coeffs.bb_prefactor == pytest.approx(PI**2 / 90.0, rel=1e-15)
+        assert coeffs.alpha1 == pytest.approx(3.0 * ZETA3 * a**2 / (4.0 * PI), rel=1e-15, abs=0)
+        assert coeffs.alpha2 == pytest.approx(-PI * a / 8.0, rel=1e-15, abs=0)
+        assert coeffs.bb_prefactor == pytest.approx(PI**2 / 90.0, rel=1e-15, abs=0)
 
     def test_em_has_no_surface_term(self):
         coeffs = subtraction_coeffs(BoxGeometry(1.0, 2.0, 3.0), EM)
         assert coeffs.alpha1 == 0.0
-        assert coeffs.alpha2 == pytest.approx(PI * 6.0 / 12.0, rel=1e-15)
-        assert coeffs.bb_prefactor == pytest.approx(PI**2 / 45.0, rel=1e-15)
+        assert coeffs.alpha2 == pytest.approx(PI * 6.0 / 12.0, rel=1e-15, abs=0)
+        assert coeffs.bb_prefactor == pytest.approx(PI**2 / 45.0, rel=1e-15, abs=0)
 
     def test_heat_kernel_route(self):
         g = BoxGeometry(1.0, 2.0, 3.0)
         a_half, a_one = heat_kernel_coeffs(g)
         surface = 2.0 * (1 * 2 + 2 * 3 + 3 * 1)
-        assert a_half == pytest.approx(-math.sqrt(PI) * surface / 2.0, rel=1e-15)
-        assert a_one == pytest.approx(PI * 6.0, rel=1e-15)
+        assert a_half == pytest.approx(-math.sqrt(PI) * surface / 2.0, rel=1e-15, abs=0)
+        assert a_one == pytest.approx(PI * 6.0, rel=1e-15, abs=0)
         coeffs = subtraction_coeffs(g, SCALAR)
-        assert coeffs.alpha1 == pytest.approx(-ZETA3 * a_half / (4.0 * PI**1.5), rel=1e-13)
-        assert coeffs.alpha2 == pytest.approx(-a_one / 24.0, rel=1e-13)
+        assert coeffs.alpha1 == pytest.approx(-ZETA3 * a_half / (4.0 * PI**1.5), rel=1e-13, abs=0)
+        assert coeffs.alpha2 == pytest.approx(-a_one / 24.0, rel=1e-13, abs=0)
 
     def test_corner_coefficient_right_angle(self):
-        assert corner_coefficient(PI / 2.0) == pytest.approx(PI / 4.0, rel=1e-15)
+        assert corner_coefficient(PI / 2.0) == pytest.approx(PI / 4.0, rel=1e-15, abs=0)
 
     def test_unit_cube_edge_coefficient(self):
         _, a_one = heat_kernel_coeffs(BoxGeometry(1.0, 1.0, 1.0))
-        assert a_one == pytest.approx(3.0 * PI, rel=1e-15)
+        assert a_one == pytest.approx(3.0 * PI, rel=1e-15, abs=0)
 
 
 class TestFreeEnergy:
@@ -503,19 +586,105 @@ class TestThermoRow:
         assert internal_energy(g, field, tp) == pytest.approx(u_ref, rel=1e-10)
         assert entropy(g, field, tp) == pytest.approx(s_ref, rel=1e-10)
 
-    def test_em_row_sums_each_log_series_once(self, monkeypatch):
+    # 10 kK, where the totals cancel their mode series by up to 1900x (U),
+    # 1400x (force) and 400x (S), so each series alone summed to tol leaves
+    # some totals outside it.  (F, force, U, S) from the long-double
+    # brute-force mode sums and 30-digit E0 of perfbench/references.json.
+    ROWS_10KK = {
+        ("cube", SCALAR): (2028206.6150370422, -90979842688.92564, -545879.0561335329,
+                           -0.5894358929527805),
+        ("cube", EM): (-7039306.373450773, 363919370755.7299, 2183516.224534497,
+                       2.111919869052521),
+        ("slab", SCALAR): (-3543914.196099883, -15716231457116.979, -545879.0561332697,
+                           0.6865154255050172),
+        ("slab", EM): (-28708566.50803392, -40681810906351.68, 2183516.2245347123,
+                       7.073930201539174),
+        ("bar", SCALAR): (3263168.2752100974, -179225620330.83936, -545879.0561336256,
+                          -0.8722278516973311),
+        ("bar", EM): (-12580535.610952245, 784835181003.523, 2183516.2245342326,
+                      3.380797373886019),
+    }
+    BOXES_UM = {"cube": (2.0, 2.0, 2.0), "slab": (1.0, 10.0, 10.0), "bar": (10.0, 1.0, 1.0)}
+
+    @pytest.mark.parametrize("box, field", list(ROWS_10KK))
+    def test_rows_at_10_kilokelvin(self, box, field):
+        g = BoxGeometry(*(s * 1e-6 for s in self.BOXES_UM[box]))
+        tp = ThermalPoint(10000.0)
+        f_ref, force_ref, u_ref, s_ref = self.ROWS_10KK[box, field]
+        assert free_energy(g, field, tp).total == pytest.approx(f_ref, rel=1e-10, abs=0)
+        assert force_x(g, field, tp) == pytest.approx(force_ref, rel=1e-10, abs=0)
+        assert internal_energy(g, field, tp) == pytest.approx(u_ref, rel=1e-10, abs=0)
+        assert entropy(g, field, tp) == pytest.approx(s_ref, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize(
+        "field, lattices", [(EM, [2, 2, 2, 3]), (SCALAR, [3])], ids=["em", "scalar"]
+    )
+    def test_row_enumerates_each_lattice_once(self, monkeypatch, field, lattices):
         calls = []
-        log_sum = _modesum.log_sum
+        lattice_sums = _modesum.lattice_sums
 
         def spy(betas, *args, **kwargs):
             calls.append(len(betas))
-            return log_sum(betas, *args, **kwargs)
+            return lattice_sums(betas, *args, **kwargs)
 
-        monkeypatch.setattr(_modesum, "log_sum", spy)
-        g, tp = CUBE_2UM, ThermalPoint(3000.0)
-        free_energy(g, EM, tp)
-        force_x(g, EM, tp)
-        internal_energy(g, EM, tp)
-        entropy(g, EM, tp)
-        # the triple sum and three double sums, for F and for S
-        assert sorted(calls) == [2] * 6 + [3] * 2
+        monkeypatch.setattr(_modesum, "lattice_sums", spy)
+        monkeypatch.setattr(thermal, "_last_row", None)
+        g, tp = CUBE_2UM, ThermalPoint(300.0)
+        free_energy(g, field, tp)
+        force_x(g, field, tp)
+        internal_energy(g, field, tp)
+        entropy(g, field, tp)
+        # em: the triple lattice and the three one-zero-index lattices
+        assert sorted(calls) == lattices
+        # another temperature, or another tolerance, is another row
+        force_x(g, field, ThermalPoint(301.0))
+        assert len(calls) == 2 * len(lattices)
+        entropy(g, field, tp, tol=1e-11)
+        assert len(calls) == 3 * len(lattices)
+
+    def test_sweep_evaluates_zero_temperature_parts_once(self, monkeypatch):
+        counts = {"e0": 0, "e0_force_x": 0}
+        for name in counts:
+
+            def spy(*args, _name=name, _fn=getattr(thermal, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(thermal, name, spy)
+        monkeypatch.setattr(thermal, "_zero_t_memo", None)
+        g = BoxGeometry(1e-6, 2e-6, 3e-6)
+        for temperature in (100.0, 200.0, 300.0):
+            tp = ThermalPoint(temperature)
+            free_energy(g, EM, tp)
+            force_x(g, EM, tp)
+        assert counts == {"e0": 1, "e0_force_x": 1}
+
+    def test_outputs_do_not_depend_on_call_order(self):
+        g, tp = BoxGeometry(1e-6, 2e-6, 3e-6), ThermalPoint(2000.0)
+
+        def row(field, point):
+            return (free_energy(g, field, point).total, force_x(g, field, point),
+                    internal_energy(g, field, point), entropy(g, field, point))
+
+        first = row(EM, tp)
+        row(SCALAR, tp)
+        row(EM, ThermalPoint(500.0))
+        backwards = (entropy(g, EM, tp), internal_energy(g, EM, tp), force_x(g, EM, tp),
+                     free_energy(g, EM, tp).total)
+        assert backwards[::-1] == first
+
+    def test_zero_temperature_force_failure_leaves_the_rest_of_the_row(self):
+        # at tol 1e-6 the finite-difference E0 force of this box misses its
+        # Richardson gate; F, U and S do not need it
+        g, tp, tol = BoxGeometry(3.5e-6, 3e-6, 4e-6), ThermalPoint(300.0), 1e-6
+        with pytest.raises(DerivativeInstabilityError):
+            force_x(g, EM, tp, tol)
+        assert free_energy(g, EM, tp, tol).total == pytest.approx(
+            free_energy(g, EM, tp).total, rel=1e-5, abs=0
+        )
+        assert internal_energy(g, EM, tp, tol) == pytest.approx(
+            internal_energy(g, EM, tp), rel=1e-5, abs=0
+        )
+        assert entropy(g, EM, tp, tol) == pytest.approx(entropy(g, EM, tp), rel=1e-5, abs=0)
+        with pytest.raises(DerivativeInstabilityError):
+            force_x(g, EM, tp, tol)
