@@ -26,11 +26,18 @@ ascending before evaluating, so every G and R argument is at least 1 and
 the result does not depend on the order the sides were given in.
 `e0_scalar` and `e0_em` evaluate in the slot order they are given.
 
-G is summed row by row, each truncation justified by an explicit
-geometric tail bound on the exponential decay of K_1.  R's kernel K_{3/2}
-is elementary, so its sum over j is taken in closed form at each lattice
-point, and the (l, p) plane is cut once, at a radius fixed a priori by an
-analytic bound on the discarded points.
+Each sum is one a-priori pass that also returns its derivatives from the
+same lattice points.  G's points n l <= M are cut once, M solved from a
+closed-form bound sum_{m > M} m^k q^m, q = exp(-2 pi z), on the discarded
+terms of G and of dG/dz.  R's kernel K_{3/2} is elementary, so its sum over
+j is taken in closed form at each lattice point, and the (l, p) plane is
+cut once, at a radius fixed a priori by an analytic bound on the discarded
+points of R and of both its derivatives.
+
+The zero-temperature force is a view of the analytic gradient of E0, not a
+finite difference: dE0/db and dE0/dc by the chain rule through the sums'
+arguments b/a, c/a (and c/b), and dE0/da from the homogeneity identity
+a dE0/da + b dE0/db + c dE0/dc = -E0, exact because E0 scales as 1/length.
 """
 
 from __future__ import annotations
@@ -41,8 +48,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DerivativeInstabilityError, budget_error, check_tol
-from .specfun import PI, ZETA3, bessel_k, richardson_derivative
+from .errors import budget_error, check_tol
+from .specfun import PI, ZETA3, bessel_k
 
 __all__ = [
     "BoxGeometry",
@@ -105,125 +112,167 @@ class FieldKind(Enum):
     ELECTROMAGNETIC = "em"
 
 
-def _k1_envelope(y: float) -> float:
-    """Coefficient C(y) with K_1(y') <= C(y) exp(-y') for all y' >= y.
-
-    Uses K_1 <= K_{3/2} = sqrt(pi/(2y)) (1 + 1/y) exp(-y); the prefactor
-    is decreasing in y, so evaluating it at the left end is a valid bound.
-    """
-    return math.sqrt(PI / (2.0 * y)) * (1.0 + 1.0 / y)
+#: zeta(2): sum_{n l = m} n/l <= zeta(2) m and sum_{n l = m} n^2 <= zeta(2) m^2.
+_ZETA2 = PI**2 / 6.0
 
 
-def lattice_g(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> float:
-    """Lattice sum G(z) = -(1/(2 pi)) sum_{n,l>=1} (n/l) K_1(2 pi n l z).
+def _g_pass(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
+    """(G(z), dG/dz) from one pass over the lattice points n l <= M.
 
-    Every term carries exp(-2 pi n l z); rows in n are summed with an
-    explicit geometric tail bound per row and over the remaining rows.
+    dG/dz = sum_{n,l>=1} n^2 (K_0(y) + K_1(y)/y), y = 2 pi n l z.  Grouped by
+    m = n l, the weights are sum n/l <= zeta(2) m and sum n^2 <= zeta(2) m^2.
+    K_0 <= K_1 <= K_{3/2} = C(y) exp(-y), C(y) = sqrt(pi/(2y))(1 + 1/y)
+    decreasing, so for y >= w = 2 pi z both K_1(y) and K_0(y) + K_1(y)/y are
+    at most C(w)(1 + 1/w) exp(-y).  With q = exp(-w), the points m >= N >= 2
+    add at most zeta(2) C(w)(1 + 1/w) N^2 q^N / (1 - q)^3 to either sum;
+    M = N - 1 is fixed a priori where that reaches tol times
+    K_{1/2}(w) = sqrt(pi/(2w)) q, below the first term K_1(w) of G (and of
+    dG/dz, whose first term is larger still).
     """
     if not (math.isfinite(z) and z > 0.0):
         raise ValueError(f"lattice_g requires z > 0, got {z!r}")
     check_tol(tol)
     w = 2.0 * PI * z
-    first = bessel_k(1.0, w)
-    if first == 0.0:
-        # even the largest term underflows
-        return 0.0
-    q = math.exp(-w)
-    rows: list[float] = []
-    running = 0.0
-    used = 0
-    n = 1
-    while True:
-        yn = w * n
-        xn = math.exp(-yn)
-        if xn == 0.0:
-            break
-        row_terms: list[float] = []
-        l = 1
-        while True:
-            y = yn * l
-            kv = bessel_k(1.0, y)
-            if kv != 0.0:
-                row_terms.append((n / l) * kv)
-            used += 1
-            if used > max_terms:
-                raise budget_error("lattice_g", tol, f"not reached after {used} terms", max_terms)
-            # remaining l' > l:  sum <= n * C(yn(l+1)) * xn^(l+1) / (1 - xn)
-            tail_l = n * _k1_envelope(yn * (l + 1)) * math.exp(-yn * (l + 1)) / (1.0 - xn)
-            if tail_l <= 0.1 * tol * max(running, first):
-                break
-            l += 1
-        rows.append(math.fsum(row_terms))
-        running = math.fsum(rows)
-        # remaining rows n' > n:
-        #   sum_{n'>n} n' q^{n'} = q^{n+1}((n+1) - n q)/(1-q)^2
-        # and each row is bounded by n' C(w n') exp(-w n') / (1 - exp(-w n')).
-        geom = q ** (n + 1) * ((n + 1) - n * q) / (1.0 - q) ** 2
-        xn1 = math.exp(-w * (n + 1))
-        tail_n = _k1_envelope(w * (n + 1)) / (1.0 - xn1) * geom if geom > 0.0 else 0.0
-        if tail_n <= tol * max(running, first):
-            break
-        n += 1
-    return -running / (2.0 * PI)
+    if math.exp(-w) == 0.0:
+        # every term underflows
+        return 0.0, 0.0
+    # the bound reaches tol where w N - 2 ln N = big > w + 7, so Newton from
+    # N = big/w, left of the root of this convex function, steps right of it
+    # and stays there
+    big = (w + 2.0 * math.log1p(1.0 / w) + math.log(_ZETA2 / tol)
+           - 3.0 * math.log(-math.expm1(-w)))
+    cut = big / w
+    for _ in range(3):
+        cut -= (w * cut - 2.0 * math.log(cut) - big) / (w - 2.0 / cut)
+    if not cut <= 1e12:  # past any budget, or overflowed
+        raise budget_error("lattice_g", tol, "needs more than 1e12 lattice points", max_terms)
+    m = math.ceil(cut) - 1
+    # the points n l <= m, counted by Dirichlet's hyperbola method
+    s = math.isqrt(m)
+    points = 2 * sum(m // n for n in range(1, s + 1)) - s * s
+    if points > max_terms:
+        raise budget_error("lattice_g", tol, f"needs {points} lattice points", max_terms)
+    # row n holds l = 1 .. m // n
+    counts = m // np.arange(1, m + 1)
+    n = np.repeat(np.arange(1, m + 1), counts)
+    l = np.arange(1, points + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    y = w * (n * l)
+    k1 = bessel_k(1.0, y)
+    # fsum of a list: exact like fsum of the array, at half the cost
+    return (-math.fsum((n / l * k1).tolist()) / (2.0 * PI),
+            math.fsum((n * n * (bessel_k(0.0, y) + k1 / y)).tolist()))
 
 
-def lattice_r(
-    z1: float,
-    z2: float,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
-    """Lattice sum R(z1, z2) over (l, p) in Z^2 minus the origin, j >= 1.
+def lattice_g(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> float:
+    """Lattice sum G(z) = -(1/(2 pi)) sum_{n,l>=1} (n/l) K_1(2 pi n l z), over
+    the points n l <= M, M fixed a priori by a closed-form tail bound."""
+    return _g_pass(z, tol, max_terms)[0]
 
-    K_{3/2} is elementary: with x = exp(-2 pi rho),
+
+def _r_pass(z1: float, z2: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
+    """(R, dR/dz1, dR/dz2) at (z1, z2) from one pass over the (l, p) plane.
+
+    K_{3/2} is elementary: with y = 2 pi rho and x = exp(-y),
     (j/rho)^{3/2} K_{3/2}(2 pi j rho) = (j/(2 rho^2)) x^j (1 + 1/(2 pi j rho)),
     so each point's sum over j is the closed form
-    (x/(1-x)^2 + x/(2 pi rho (1-x))) / (2 rho^2).  The (l, p) plane is cut
-    once, at the ellipse radius rho = sqrt(l^2 z1^2 + p^2 z2^2) = R where an
-    analytic bound on the discarded points reaches tol times the largest
-    term.  Symmetric under z1 <-> z2.
+    phi(rho) = (x/(1-x)^2 + x/(y(1-x))) / (2 rho^2), and phi'(rho) is
+    elementary too.  rho^2 = l^2 z1^2 + p^2 z2^2 gives
+    dR/dz1 = R/z1 + (z2/8) sum (l z1)^2 phi'(rho)/rho, and likewise for z2.
+    Each point adds at most rho |phi'(rho)| <= cd exp(-2 pi rho) to either
+    derivative sum, and cd is more than twice the constant of phi's own
+    envelope, so one cut of the plane serves all three: at the ellipse radius
+    where an analytic bound on the discarded points reaches tol times the
+    largest term of R.  Symmetric under z1 <-> z2, the derivatives swapping.
     """
     for name, v in (("z1", z1), ("z2", z2)):
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"lattice_r requires {name} > 0, got {v!r}")
     check_tol(tol)
     rho_min = min(z1, z2)
-    if 2.0 * PI * rho_min > 745.0:
-        return 0.0
-    x_min = math.exp(-2.0 * PI * rho_min)
-    # bound on the per-point total (all j) at radius rho >= rho_min,
-    # relative to exp(-2 pi rho):
-    cb = (1.0 / (2.0 * rho_min**2)) * (
-        1.0 / (1.0 - x_min) ** 2 + 1.0 / (2.0 * PI * rho_min * (1.0 - x_min))
-    )
+    y_min = 2.0 * PI * rho_min
+    x_min = math.exp(-y_min)
+    # the largest term: the j = 1 terms of the two nearest points
+    first = x_min * (1.0 + 1.0 / y_min) / rho_min**2
+    if first == 0.0:
+        return 0.0, 0.0, 0.0
+    # bounds at radius rho >= rho_min, relative to exp(-2 pi rho): on phi, and
+    # on rho |phi'| <= (|u'| + |v'|)/(2 rho) + 2 phi for the two parts of phi
+    e_min = 1.0 - x_min
+    cb = (1.0 / (2.0 * rho_min**2)) * (1.0 / e_min**2 + 1.0 / (y_min * e_min))
+    cd = (PI / rho_min) * ((1.0 + x_min) / e_min**3
+                           + (1.0 / e_min + 1.0 / y_min) / (y_min * e_min)) + 2.0 * cb
     # lattice-counting factor: rho >= (l z1 + p z2)/sqrt(2) makes the sum of
     # exp(-pi rho) over all points factorize into two geometric series
     s2 = math.sqrt(2.0)
     qq = 4.0 / ((1.0 - math.exp(-PI * z1 / s2)) * (1.0 - math.exp(-PI * z2 / s2)))
-    first = 2.0 * (1.0 / rho_min) ** 1.5 * bessel_k(1.5, 2.0 * PI * rho_min)
-    if first == 0.0:
-        return 0.0
-    # the discarded points then sum to at most cb qq exp(-pi R) = tol first
-    radius = (math.log(cb * qq) - math.log(tol * first)) / PI
+    # the discarded points then add at most cd qq exp(-pi R) = tol first
+    radius = (math.log(cd * qq) - math.log(tol) - math.log(first)) / PI
     radius = max(radius, 1.5 * rho_min + 1.0)
-
     n1 = int(radius / z1) + 1
     n2 = int(radius / z2) + 1
     points = (n1 + 1) * (n2 + 1)
     if points > max_terms:
         raise budget_error("lattice_r", tol, f"needs {points} lattice points", max_terms)
-    l = np.arange(0, n1 + 1, dtype=float)
-    p = np.arange(0, n2 + 1, dtype=float)
-    rho2 = (l[:, None] * z1) ** 2 + (p[None, :] * z2) ** 2
+    lz2, pz2 = np.broadcast_arrays((np.arange(0, n1 + 1, dtype=float)[:, None] * z1) ** 2,
+                                   (np.arange(0, n2 + 1, dtype=float)[None, :] * z2) ** 2)
+    rho2 = lz2 + pz2
     mask = (rho2 <= radius * radius) & (rho2 > 0.0)
-    rho = np.sqrt(rho2[mask])
-    weight = np.where((l[:, None] == 0) | (p[None, :] == 0), 2.0, 4.0)[mask]
+    weight = np.where((lz2 == 0.0) | (pz2 == 0.0), 2.0, 4.0)[mask]
+    lz2, pz2, rho = lz2[mask], pz2[mask], np.sqrt(rho2[mask])
     y = 2.0 * PI * rho
     with np.errstate(under="ignore"):
         x = np.exp(-y)
-        one_minus_x = -np.expm1(-y)
-        per_point = (x / one_minus_x**2 + x / (y * one_minus_x)) / (2.0 * rho**2)
-    return z1 * z2 / 8.0 * math.fsum(weight * per_point)
+        e = -np.expm1(-y)
+        phi = (x / e**2 + x / (y * e)) / (2.0 * rho**2)
+        # phi'(rho) / rho
+        dphi = -(PI * x * ((1.0 + x) / e**3 + (1.0 / e + 1.0 / y) / (y * e)) / rho**2
+                 + 2.0 * phi / rho) / rho
+    r = z1 * z2 / 8.0 * math.fsum((weight * phi).tolist())
+    return (r,
+            r / z1 + z2 / 8.0 * math.fsum((weight * lz2 * dphi).tolist()),
+            r / z2 + z1 / 8.0 * math.fsum((weight * pz2 * dphi).tolist()))
+
+
+def lattice_r(z1: float, z2: float, tol: float = DEFAULT_TOL,
+              max_terms: int = DEFAULT_MAX_TERMS) -> float:
+    """Lattice sum R(z1, z2) over (l, p) in Z^2 minus the origin, j >= 1: each
+    point's j series in closed form, the plane cut at a radius fixed a priori."""
+    return _r_pass(z1, z2, tol, max_terms)[0]
+
+
+def _e0_gradient(sides, field: FieldKind, tol: float):
+    """E0 and its gradient (dE0/da, dE0/db, dE0/dc), the sides in the slots given.
+
+    b and c enter the closed form through its polynomial terms and the sums'
+    arguments b/a, c/a (and c/b), so dE0/db and dE0/dc follow by the chain
+    rule from the derivatives of the G and R passes.  E0 is homogeneous of
+    degree -1 in the sides, so Euler's identity gives the third exactly:
+    a dE0/da = -E0 - b dE0/db - c dE0/dc.
+    """
+    a, b, c = sides
+    r, r_b, r_c = _r_pass(b / a, c / a, tol)
+    if field is FieldKind.SCALAR_DIRICHLET:
+        g_b, dg_b = _g_pass(b / a, tol)
+        g_c, dg_c = _g_pass(c / a, tol)
+        energy = math.fsum([-(PI**2) * b * c / (1440.0 * a**3),
+                            ZETA3 * (b + c) / (32.0 * PI * a**2), -PI / (96.0 * a),
+                            -(PI / (2.0 * a)) * (g_b + g_c), -(1.0 / a) * r])
+        e_b = math.fsum([-(PI**2) * c / (1440.0 * a**3), ZETA3 / (32.0 * PI * a**2),
+                         -(PI / (2.0 * a**2)) * dg_b, -r_b / a**2])
+        e_c = math.fsum([-(PI**2) * b / (1440.0 * a**3), ZETA3 / (32.0 * PI * a**2),
+                         -(PI / (2.0 * a**2)) * dg_c, -r_c / a**2])
+    elif field is FieldKind.ELECTROMAGNETIC:
+        g, dg = _g_pass(c / b, tol)
+        energy = math.fsum([-(PI**2) * b * c / (720.0 * a**3), -ZETA3 * c / (16.0 * PI * b**2),
+                            (PI / 48.0) * (1.0 / a + 1.0 / b), (PI / b) * g, -(2.0 / a) * r])
+        e_b = math.fsum([-(PI**2) * c / (720.0 * a**3), ZETA3 * c / (8.0 * PI * b**3),
+                         -PI / (48.0 * b**2), -(PI / b**2) * (g + (c / b) * dg),
+                         -2.0 * r_b / a**2])
+        e_c = math.fsum([-(PI**2) * b / (720.0 * a**3), -ZETA3 / (16.0 * PI * b**2),
+                         (PI / b**2) * dg, -2.0 * r_c / a**2])
+    else:
+        raise ValueError(f"unknown field kind {field!r}")
+    return energy, (-math.fsum([energy, b * e_b, c * e_c]) / a, e_b, e_c)
 
 
 def e0_scalar(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
@@ -235,16 +284,7 @@ def e0_scalar(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
     Evaluated in the slot order given.  With a the shortest side every
     G and R argument is at least 1; `e0` arranges that.
     """
-    a, b, c = geom.sides
-    return math.fsum(
-        [
-            -(PI**2) * b * c / (1440.0 * a**3),
-            ZETA3 * (b + c) / (32.0 * PI * a**2),
-            -PI / (96.0 * a),
-            -(PI / (2.0 * a)) * (lattice_g(b / a, tol) + lattice_g(c / a, tol)),
-            -(1.0 / a) * lattice_r(b / a, c / a, tol),
-        ]
-    )
+    return _e0_gradient(geom.sides, FieldKind.SCALAR_DIRICHLET, tol)[0]
 
 
 def e0_em(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
@@ -258,26 +298,7 @@ def e0_em(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
     only with a <= b <= c is every G and R argument at least 1, and the
     sums fast and accurate.  `e0` sorts the sides that way.
     """
-    a, b, c = geom.sides
-    return math.fsum(
-        [
-            -(PI**2) * b * c / (720.0 * a**3),
-            -ZETA3 * c / (16.0 * PI * b**2),
-            (PI / 48.0) * (1.0 / a + 1.0 / b),
-            (PI / b) * lattice_g(c / b, tol),
-            -(2.0 / a) * lattice_r(b / a, c / a, tol),
-        ]
-    )
-
-
-def _e0_in_order(sides, field: FieldKind, tol: float) -> float:
-    """E0 from the closed form with the sides in the slots given."""
-    geom = BoxGeometry(*sides)
-    if field is FieldKind.SCALAR_DIRICHLET:
-        return e0_scalar(geom, tol)
-    if field is FieldKind.ELECTROMAGNETIC:
-        return e0_em(geom, tol)
-    raise ValueError(f"unknown field kind {field!r}")
+    return _e0_gradient(geom.sides, FieldKind.ELECTROMAGNETIC, tol)[0]
 
 
 def e0(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL) -> float:
@@ -286,33 +307,17 @@ def e0(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL) -> float:
     The closed form is evaluated with the sides in ascending order, so
     the result is the same, bit for bit, for every order of the sides.
     """
-    return _e0_in_order(sorted(geom.sides), field, tol)
-
-
-#: Relative step for the finite-difference force; two Richardson levels.
-_FD_STEP = 1e-4
-_FD_GATE = 1e-5
+    return _e0_gradient(sorted(geom.sides), field, tol)[0]
 
 
 def e0_force_x(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL) -> float:
     """Zero-temperature force -dE0/da on the faces normal to the a axis.
 
-    Central differences in a with steps h and h/2, Richardson-extrapolated;
-    raises DerivativeInstabilityError if the two levels disagree by more
-    than 1e-5 relative.  The sides are sorted once, as in `e0`, and a is
-    varied in the slot it lands in, so all four evaluations use the same
-    arrangement of the closed form even where a +- h passes a neighbour.
+    The analytic gradient of the closed form, from the same G and R passes
+    as E0.  The sides are sorted as in `e0`, and the force is the gradient
+    component of the slot a lands in (the first, if a ties a neighbour): by
+    the chain rule through the sums' arguments in the b and c slots, by the
+    homogeneity identity a dE0/da = -E0 - b dE0/db - c dE0/dc in the first.
     """
-    a = geom.a
-    h = _FD_STEP * a
     sides = sorted(geom.sides)
-    slot = sides.index(a)
-
-    def energy(aa: float) -> float:
-        sides[slot] = aa
-        return _e0_in_order(sides, field, tol)
-
-    slope, disagreement = richardson_derivative(energy, a, h)
-    if disagreement > _FD_GATE:
-        raise DerivativeInstabilityError("e0_force_x", disagreement, _FD_GATE)
-    return -slope
+    return -_e0_gradient(sides, field, tol)[1][sides.index(geom.a)]

@@ -141,7 +141,7 @@ def _cmd_sweep(args, out) -> int:
     for prefix, geom, tp in points:
         try:
             cells = _box_cells(args, geom, tp, args.quantity) + [""]
-        except (ConvergenceError, DerivativeInstabilityError) as exc:
+        except ConvergenceError as exc:
             cells = [""] * 7 + [str(exc).replace(",", ";")]
         print(",".join(prefix + cells), file=out)
     return 0

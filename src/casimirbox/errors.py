@@ -24,7 +24,9 @@ class ConvergenceError(CasimirBoxError):
 
 class DerivativeInstabilityError(CasimirBoxError):
     """Richardson extrapolation levels of a finite-difference derivative
-    disagree beyond the accepted threshold."""
+    disagree beyond the accepted threshold.
+
+    Raised only by `plates_pressure`; box forces are analytic gradients."""
 
     def __init__(self, what: str, disagreement: float, threshold: float):
         self.what = what

@@ -1,18 +1,18 @@
-"""Modified Bessel functions of the second kind at the three orders the
-box lattice sums need, plus the pinned mathematical and physical constants
-used everywhere else in the package.
+"""Modified Bessel functions of the second kind at the four orders the
+box lattice sums and their derivatives need, plus the pinned mathematical
+and physical constants used everywhere else in the package.
 
-Only K_{1/2}, K_1 and K_{3/2} are supported.  The half-integer orders have
-elementary closed forms,
+Only K_0, K_{1/2}, K_1 and K_{3/2} are supported.  The half-integer orders
+have elementary closed forms,
 
     K_{1/2}(x) = sqrt(pi/(2x)) exp(-x)
     K_{3/2}(x) = sqrt(pi/(2x)) exp(-x) (1 + 1/x),
 
-and K_1 is delegated to SciPy's Cephes routine (ascending series with a
-log term below x = 2, exponentially scaled Chebyshev fit above), which is
-the standard two-regime evaluation and keeps the relative error at the
+and K_0 and K_1 are delegated to SciPy's Cephes routines (ascending series
+with a log term below x = 2, exponentially scaled Chebyshev fit above),
+the standard two-regime evaluation, which keeps the relative error at the
 1e-15 level over the whole double range.  For arguments beyond the
-underflow threshold of exp(-x) all three return exactly 0.
+underflow threshold of exp(-x) all four return exactly 0.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k1 as _cephes_k1
+from scipy.special import k0 as _cephes_k0, k1 as _cephes_k1
 
 __all__ = [
     "Constants",
@@ -66,16 +66,16 @@ class Constants:
 
 CONSTANTS = Constants()
 
-_SUPPORTED_ORDERS = (0.5, 1.0, 1.5)
+_SUPPORTED_ORDERS = (0.0, 0.5, 1.0, 1.5)
 
 
 def bessel_k(order: float, x):
-    """Modified Bessel function K_order(x) for order in {1/2, 1, 3/2}.
+    """Modified Bessel function K_order(x) for order in {0, 1/2, 1, 3/2}.
 
     Parameters
     ----------
     order : float
-        One of 0.5, 1.0, 1.5.
+        One of 0.0, 0.5, 1.0, 1.5.
     x : float or ndarray
         Strictly positive argument(s).
 
@@ -95,6 +95,8 @@ def bessel_k(order: float, x):
             out = np.sqrt(PI / (2.0 * xa)) * np.exp(-xa)
         elif order == 1.5:
             out = np.sqrt(PI / (2.0 * xa)) * np.exp(-xa) * (1.0 + 1.0 / xa)
+        elif order == 0.0:
+            out = _cephes_k0(xa)
         else:
             out = _cephes_k1(xa)
     return float(out) if scalar else out

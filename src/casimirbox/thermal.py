@@ -18,7 +18,8 @@ alpha2 = +pi(a+b+c)/12.  Everything is in natural units (energies 1/m,
 temperatures through kT/(hbar c) in 1/m).
 
 Force, internal energy and entropy come from exact term-wise derivatives
-of the same representation; no numerical differentiation on the main path.
+of the same representation, the zero-temperature force from the analytic
+gradient of E0; nothing is differentiated numerically.
 
 Accuracy contract.  `free_energy`, `force_x`, `internal_energy` and
 `entropy` are views of one row per state point (T > 0), which enumerates
@@ -46,7 +47,6 @@ from typing import NamedTuple
 
 from . import _modesum
 from .boxzero import BoxGeometry, FieldKind, e0, e0_force_x, DEFAULT_TOL
-from .errors import ConvergenceError, DerivativeInstabilityError  # noqa: F401  (re-raised)
 from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
 
 __all__ = [
@@ -284,8 +284,7 @@ _zero_t_memo = None
 
 
 def _zero_t(geom: BoxGeometry, field: FieldKind, tol: float):
-    """(E0, zero-T force) of the box, the force replaced by the
-    DerivativeInstabilityError its finite difference raised, if it did.
+    """(E0, zero-T force) of the box.
 
     Memoized for the last geometry asked for, so a temperature sweep
     evaluates them once.  E0 depends on the sides only through their sorted
@@ -294,12 +293,7 @@ def _zero_t(geom: BoxGeometry, field: FieldKind, tol: float):
     global _zero_t_memo
     key = (geom.a, tuple(sorted(geom.sides)), field, tol)
     if _zero_t_memo is None or _zero_t_memo[0] != key:
-        e0_ren = e0(geom, field, tol)
-        try:
-            f0 = e0_force_x(geom, field, tol)
-        except DerivativeInstabilityError as exc:
-            f0 = exc
-        _zero_t_memo = (key, e0_ren, f0)
+        _zero_t_memo = (key, e0(geom, field, tol), e0_force_x(geom, field, tol))
     return _zero_t_memo[1:]
 
 
@@ -307,9 +301,8 @@ class _Row(NamedTuple):
     """F, the force, U and S at one state point with T > 0."""
 
     free: EnergyBreakdown
-    #: (zero-T force, thermal mode term, bb, alpha1, alpha2 terms), or the
-    #: DerivativeInstabilityError of the zero-T force
-    force_parts: object
+    #: (zero-T force, thermal mode term, bb, alpha1, alpha2 terms)
+    force_parts: tuple[float, float, float, float, float]
     internal: float
     entropy: float
 
@@ -350,7 +343,6 @@ def _evaluate_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: fl
     bb, a1, a2 = _subtraction_terms(geom, field, tp)
     force_scale = PI**2 * tp.beta / geom.a**3
     force_terms = _force_subtraction_terms(geom, field, tp)
-    has_force = not isinstance(f0, DerivativeInstabilityError)
     betas = tp.reduced(geom)
     tighten = 1.0
     while True:
@@ -362,9 +354,8 @@ def _evaluate_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: fl
             ([e0_ren, modes_u, -3.0 * bb, -2.0 * a1, -a2], kt * bounds["energy"]),
             ([modes_u, -raw, -4.0 * bb, -3.0 * a1, -2.0 * a2],
              kt * (bounds["log"] + bounds["energy"])),
+            ([f0, modes_f, *force_terms], force_scale * bounds["force"]),
         ]
-        if has_force:
-            checks.append(([f0, modes_f, *force_terms], force_scale * bounds["force"]))
         worst = max(
             err / max(tol * abs(math.fsum(pieces)), _EPS * math.fsum(map(abs, pieces)))
             for pieces, err in checks
@@ -377,7 +368,7 @@ def _evaluate_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: fl
     free, internal, entropy_kt = (math.fsum(pieces) for pieces, _ in checks[:3])
     return _Row(
         EnergyBreakdown(e0_ren, raw, bb, a1, a2, free),
-        (f0, modes_f, *force_terms) if has_force else f0,
+        (f0, modes_f, *force_terms),
         internal,
         entropy_kt / kt,
     )
@@ -421,10 +412,7 @@ def _force_parts(
     """
     if tp.temperature == 0.0:
         return (e0_force_x(geom, field, tol), 0.0, 0.0, 0.0, 0.0)
-    parts = _row(geom, field, tp, tol, max_points).force_parts
-    if isinstance(parts, DerivativeInstabilityError):
-        raise parts.with_traceback(None)
-    return parts
+    return _row(geom, field, tp, tol, max_points).force_parts
 
 
 def force_x(

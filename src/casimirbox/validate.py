@@ -54,7 +54,7 @@ def oracle_bessel_k(order: float, x: float) -> float:
     """
     from scipy.integrate import quad  # about 0.3 s to import; only this oracle needs it
 
-    if order not in (0.5, 1.0, 1.5):
+    if order not in (0.0, 0.5, 1.0, 1.5):
         raise ValueError(f"unsupported order {order!r}")
     if not (_ORACLE_X_RANGE[0] <= x <= _ORACLE_X_RANGE[1]):
         raise ValueError(f"oracle_bessel_k: x={x!r} outside {_ORACLE_X_RANGE}")
@@ -518,7 +518,7 @@ def run_checks(name_filter: str | None = None, fixtures_path=None) -> list[Check
         grid = np.linspace(0.01, 50.0, 20)
         return max(
             _rel(oracle_bessel_k(order, float(x)), bessel_k(order, float(x)))
-            for order in (0.5, 1.0, 1.5)
+            for order in (0.0, 0.5, 1.0, 1.5)
             for x in grid
         )
 

@@ -27,9 +27,55 @@ R_AT_05_2 = 0.031068092091045208
 E0_SCALAR_CUBE = -0.015732182509969574
 E0_EM_CUBE = 0.091657427012351828
 E0_SCALAR_1_5_5 = -0.084501410845179842
+# validate._oracle_g(0.01, 4000)
+G_AT_001 = -74.05856652484053
+# mpmath.diff at 30 digits of the brute-force sums of validate._oracle_g
+# (cutoff 300) and _oracle_r (cutoff 60), kept in mpmath, not rounded to double
+DG = {0.5: 0.04606283939985877, 1.0: 0.0010803003298411689, 1.5: 3.617239028133647e-05,
+      2.0: 1.322196908903806e-06}
+DR = {
+    (1.0, 1.0): (-0.0018378034458332196, -0.0018378034458332196),
+    (0.5, 2.0): (-0.2890109906668777, 0.015531810527809997),
+    (1.0, 100.0): (-0.20223462386115265, 0.0002716434741837128),
+}
 
 SCALAR = FieldKind.SCALAR_DIRICHLET
 EM = FieldKind.ELECTROMAGNETIC
+
+# -dE0/da of the benchmark's aspect_scan boxes: mpmath.diff at 40 digits of E0
+# assembled in mpmath from the brute-force G and R sums of validate (cutoff
+# 120), sides ascending.  At a = 10^(k/4), b = c = 1, for k = -8 .. 8:
+ASPECT_FORCES = {
+    "scalar": [
+        -2008666.5082911355, -197215.03118226974, -19081.936338058178,
+        -1797.5576791722694, -161.06092619962135, -13.091316311762629,
+        -0.8709523457940974, -0.04011073718080008, -0.005244060836656525,
+        -0.0048318332730646575, -0.004831545707549018, -0.004831545706589417,
+        -0.004831545706589417, -0.004831545706589417, -0.004831545706589417,
+        -0.004831545706589417, -0.004831545706589417,
+    ],
+    "em": [
+        -4111680.6686510677, -411026.5461231857, -41057.90182425588,
+        -4091.6381082334897, -404.68853201707776, -39.053645782497874,
+        -3.4578364641919843, -0.20401307533599883, 0.03055247567078395,
+        0.038128863602150564, 0.03816522875117446, 0.038165233090716844,
+        0.03816523309071746, 0.03816523309071746, 0.03816523309071746,
+        0.03816523309071746, 0.03816523309071746,
+    ],
+}
+ASPECT_EXTRA_FORCES = {
+    ((1.0, 2.0, 3.0), "scalar"): -0.03651978501406513,
+    ((1.0, 2.0, 3.0), "em"): -0.18127380788842296,
+    ((1.0, 100.0, 1.0), "scalar"): 0.4728944213229174,
+    ((1.0, 100.0, 1.0), "em"): -3.7510734621219584,
+    ((1.0, 1.0, 100.0), "scalar"): 0.4728944213229174,
+    ((1.0, 1.0, 100.0), "em"): -3.7510734621219584,
+}
+ASPECT_CASES = [
+    ((10.0 ** (k / 4), 1.0, 1.0), field, ref)
+    for field, refs in ASPECT_FORCES.items()
+    for k, ref in zip(range(-8, 9), refs)
+] + [(sides, field, ref) for (sides, field), ref in ASPECT_EXTRA_FORCES.items()]
 
 
 class TestLatticeG:
@@ -56,7 +102,7 @@ class TestLatticeG:
             lattice_g(1e-5, max_terms=100)
 
     def test_budget_message_states_terms_and_budget(self):
-        match = r"^lattice_g: tolerance 1\.000e-10 not reached after 101 terms, budget 100$"
+        match = r"^lattice_g: tolerance 1\.000e-10 needs \d+ lattice points, budget 100$"
         with pytest.raises(ConvergenceError, match=match):
             lattice_g(1e-5, max_terms=100)
 
@@ -64,6 +110,20 @@ class TestLatticeG:
     def test_rejects_bad_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
             lattice_g(1.0, tol)
+
+    def test_small_argument_matches_30_digit_oracle(self):
+        # validate._oracle_g(0.01, 4000), about 4000 points of K_1
+        assert lattice_g(0.01) == pytest.approx(G_AT_001, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("z", [0.5, 1.0, 1.5, 2.0])
+    def test_derivative_matches_differentiated_oracle(self, z):
+        # at tol 1e-10 the cut may leave 5e-12 of dG/dz (z = 1.5); the
+        # formula is checked here, the default cut by the test below
+        assert boxzero._g_pass(z, 1e-14)[1] == pytest.approx(DG[z], rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("z", [0.5, 1.0, 1.5, 2.0])
+    def test_derivative_within_tol_at_the_default_cut(self, z):
+        assert boxzero._g_pass(z)[1] == pytest.approx(DG[z], rel=1e-10, abs=0)
 
 
 class TestLatticeR:
@@ -77,8 +137,17 @@ class TestLatticeR:
         oracle = validate._oracle_r(z1, z2, 60)
         assert lattice_r(z1, z2) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("z1, z2", [(1.0, 1.0), (0.5, 2.0), (1.0, 100.0)])
+    def test_derivatives_match_differentiated_oracle(self, z1, z2):
+        _, d1, d2 = boxzero._r_pass(z1, z2)
+        ref1, ref2 = DR[z1, z2]
+        assert d1 == pytest.approx(ref1, rel=1e-13, abs=0)
+        assert d2 == pytest.approx(ref2, rel=1e-13, abs=0)
+
     def test_symmetry(self):
         assert lattice_r(1.0, 2.0) == pytest.approx(lattice_r(2.0, 1.0), rel=1e-12, abs=0)
+        r, d1, d2 = boxzero._r_pass(1.0, 2.0)
+        assert boxzero._r_pass(2.0, 1.0) == pytest.approx((r, d2, d1), rel=1e-12, abs=0)
 
     def test_far_tail_negligible(self):
         assert abs(lattice_r(12.0, 12.0)) < 1e-25
@@ -174,19 +243,17 @@ class TestSortedEvaluation:
         assert 10.0 * abs(e0(BoxGeometry(10.0, 1.0, 1.0), field) - oracle) <= 1e-9
 
     def test_lattice_arguments_stay_at_or_above_one(self, monkeypatch):
-        # a +- h of the force's finite differences may sit a hair below its
-        # neighbour in the sorted order, hence 0.999 rather than 1
         args = []
 
         def spy(fn):
             def wrapped(*a, **kw):
-                args.extend(a[:2] if fn is lattice_r else a[:1])
+                args.extend(a[:2] if fn is boxzero._r_pass else a[:1])
                 return fn(*a, **kw)
 
             return wrapped
 
-        monkeypatch.setattr(boxzero, "lattice_g", spy(lattice_g))
-        monkeypatch.setattr(boxzero, "lattice_r", spy(lattice_r))
+        monkeypatch.setattr(boxzero, "_g_pass", spy(boxzero._g_pass))
+        monkeypatch.setattr(boxzero, "_r_pass", spy(boxzero._r_pass))
         boxes = [(1.0, 1.0, 1.0), (2.0, 1.0, 2.0), (1.0, 2.0, 2.0), (2.0, 2.0, 1.0)]
         boxes += list(permutations((100.0, 1.0, 1.0))) + list(permutations((1.0, 2.0, 3.0)))
         for sides in boxes:
@@ -223,30 +290,29 @@ class TestForce:
         # permutation symmetry at the cube gives F = E0/(3a); a^2 F = E0/3
         cube = BoxGeometry(1.0, 1.0, 1.0)
         fs = e0_force_x(cube, SCALAR)
-        assert fs == pytest.approx(E0_SCALAR_CUBE / 3.0, rel=1e-5)
+        assert fs == pytest.approx(E0_SCALAR_CUBE / 3.0, rel=1e-12, abs=0)
         assert fs < 0.0
         fem = e0_force_x(cube, EM)
-        assert fem == pytest.approx(E0_EM_CUBE / 3.0, rel=1e-5)
+        assert fem == pytest.approx(E0_EM_CUBE / 3.0, rel=1e-12, abs=0)
         assert fem == pytest.approx(0.03055, abs=3e-4)
         assert fem > 0.0
 
+    @pytest.mark.parametrize("sides, field, ref", ASPECT_CASES)
+    def test_matches_40_digit_references(self, sides, field, ref):
+        assert e0_force_x(BoxGeometry(*sides), FieldKind(field)) == pytest.approx(
+            ref, rel=1e-12, abs=0
+        )
+
     def test_euler_identity(self):
-        # a dE/da + b dE/db + c dE/dc = -E for a degree -1 homogeneous E
-        g = BoxGeometry(1.0, 1.7, 2.3)
+        # a dE/da + b dE/db + c dE/dc = -E for a degree -1 homogeneous E; the
+        # force on each side is e0_force_x with that side in the a slot
+        sides = (1.0, 1.7, 2.3)
         for field in (SCALAR, EM):
-            e_val = e0(g, field)
-            total = 0.0
-            for i, side in enumerate(g.sides):
-                h = 1e-5 * side
-
-                def e_of(x, i=i):
-                    sides = list(g.sides)
-                    sides[i] = x
-                    return e0(BoxGeometry(*sides), field, 1e-11)
-
-                d = (e_of(side + h) - e_of(side - h)) / (2.0 * h)
-                total += side * d
-            assert total == pytest.approx(-e_val, rel=1e-4)
+            total = math.fsum(
+                -s * e0_force_x(BoxGeometry(s, *(t for t in sides if t != s)), field)
+                for s in sides
+            )
+            assert total == pytest.approx(-e0(BoxGeometry(*sides), field), rel=1e-12, abs=0)
 
     def test_cube_face_forces_agree(self):
         # differentiate in each argument slot at the cube point

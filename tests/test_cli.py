@@ -110,6 +110,18 @@ class TestForceCommand:
         # a^2 F = E0/3 for the cube
         assert float(rec["total_dimless"]) == pytest.approx(0.09166 / 3.0, abs=3e-4)
 
+    # 40-digit central differences of a 40-digit E0 give a^2 F0 =
+    # 3.48673968752011e-02 and 6.93635272786067e-02
+    @pytest.mark.parametrize(
+        "a, cell", [("3.5", "3.48673968752e-02"), ("4.5", "6.93635272786e-02")]
+    )
+    def test_zero_temperature_force_cell_prints_its_twelve_digits(self, a, cell):
+        status, out, _ = run_cli(
+            ["force", "--field", "em", "--a", a, "--b", "3", "--c", "4", "--temp", "300"]
+        )
+        assert status == 0
+        assert row_as_dict(out)["e0_dimless"] == cell
+
 
 class TestThermoCommand:
     def test_adds_u_and_s_columns(self):

@@ -47,6 +47,13 @@ def test_k1_against_pinned_oracle_value():
     assert bessel_k(1.0, 1.0) == pytest.approx(K1_AT_1, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("x", [0.01, 0.5, 2.0, 10.0, 50.0])
+def test_k0_against_quadrature_oracle(x):
+    from casimirbox.validate import oracle_bessel_k
+
+    assert bessel_k(0.0, x) == pytest.approx(oracle_bessel_k(0.0, x), rel=1e-12, abs=0)
+
+
 def test_recurrence_between_half_integer_orders():
     # K_{3/2}(x) = K_{1/2}(x) (1 + 1/x), exact at these orders
     for x in np.linspace(0.01, 50.0, 37):
@@ -55,14 +62,14 @@ def test_recurrence_between_half_integer_orders():
         assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
 
 
-@pytest.mark.parametrize("order", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 1.5])
 def test_strictly_decreasing(order):
     xs = np.geomspace(1e-3, 500.0, 200)
     vals = bessel_k(order, xs)
     assert np.all(np.diff(vals) < 0.0)
 
 
-@pytest.mark.parametrize("order", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 1.5])
 def test_underflow_returns_zero(order):
     assert bessel_k(order, 800.0) == 0.0
 

@@ -6,8 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from casimirbox import _modesum, thermal, validate
-from casimirbox.boxzero import BoxGeometry, FieldKind, e0
-from casimirbox.errors import ConvergenceError, DerivativeInstabilityError
+from casimirbox.boxzero import BoxGeometry, FieldKind, e0, e0_force_x
+from casimirbox.errors import ConvergenceError
 from casimirbox.specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
 from casimirbox.thermal import (
     EnergyBreakdown,
@@ -673,18 +673,16 @@ class TestThermoRow:
                      free_energy(g, EM, tp).total)
         assert backwards[::-1] == first
 
-    def test_zero_temperature_force_failure_leaves_the_rest_of_the_row(self):
-        # at tol 1e-6 the finite-difference E0 force of this box misses its
-        # Richardson gate; F, U and S do not need it
-        g, tp, tol = BoxGeometry(3.5e-6, 3e-6, 4e-6), ThermalPoint(300.0), 1e-6
-        with pytest.raises(DerivativeInstabilityError):
-            force_x(g, EM, tp, tol)
-        assert free_energy(g, EM, tp, tol).total == pytest.approx(
-            free_energy(g, EM, tp).total, rel=1e-5, abs=0
-        )
-        assert internal_energy(g, EM, tp, tol) == pytest.approx(
-            internal_energy(g, EM, tp), rel=1e-5, abs=0
-        )
-        assert entropy(g, EM, tp, tol) == pytest.approx(entropy(g, EM, tp), rel=1e-5, abs=0)
-        with pytest.raises(DerivativeInstabilityError):
-            force_x(g, EM, tp, tol)
+    def test_loose_tolerance_zero_temperature_force(self):
+        # the finite-difference force this replaced missed its Richardson
+        # gate on this box at tol 1e-6; the rest of the row holds to tol too
+        g, tp = BoxGeometry(3.5e-6, 3e-6, 4e-6), ThermalPoint(300.0)
+
+        def row(tol):
+            return (e0_force_x(g, EM, tol), force_x(g, EM, tp, tol),
+                    free_energy(g, EM, tp, tol).total, internal_energy(g, EM, tp, tol),
+                    entropy(g, EM, tp, tol))
+
+        ref = row(1e-10)
+        for tol in (1e-6, 1e-3):
+            assert row(tol) == pytest.approx(ref, rel=tol, abs=0)

@@ -28,7 +28,7 @@ class TestBesselOracle:
 
     def test_agreement_with_production_grid(self):
         grid = np.linspace(0.05, 45.0, 20)
-        for order in (0.5, 1.0, 1.5):
+        for order in (0.0, 0.5, 1.0, 1.5):
             for x in grid:
                 o = validate.oracle_bessel_k(order, float(x))
                 m = bessel_k(order, float(x))
