@@ -62,6 +62,7 @@ __all__ = [
     "e0_em",
     "e0",
     "e0_force_x",
+    "e0_and_force_x",
 ]
 
 #: Default relative tolerance for the lattice sums; three orders of margin
@@ -119,11 +120,15 @@ _ZETA2 = PI**2 / 6.0
 def _g_pass(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
     """(G(z), dG/dz) from one pass over the lattice points n l <= M.
 
-    dG/dz = sum_{n,l>=1} n^2 (K_0(y) + K_1(y)/y), y = 2 pi n l z.  Grouped by
-    m = n l, the weights are sum n/l <= zeta(2) m and sum n^2 <= zeta(2) m^2.
+    dG/dz = sum_{n,l>=1} n^2 (K_0(y) + K_1(y)/y), y = 2 pi n l z.  The kernels
+    depend on a point only through k = n l, so both sums run over k <= M with
+    the divisor-sum weights sum_{n l = k} n/l = sigma_2(k)/k for G and
+    sum_{n l = k} n^2 = sigma_2(k) for dG/dz, sigma_2(k) the sum of the
+    squares of k's divisors; K_0 and K_1 are evaluated once each, at M
+    arguments.  sigma_2(k) <= zeta(2) k^2.
     K_0 <= K_1 <= K_{3/2} = C(y) exp(-y), C(y) = sqrt(pi/(2y))(1 + 1/y)
     decreasing, so for y >= w = 2 pi z both K_1(y) and K_0(y) + K_1(y)/y are
-    at most C(w)(1 + 1/w) exp(-y).  With q = exp(-w), the points m >= N >= 2
+    at most C(w)(1 + 1/w) exp(-y).  With q = exp(-w), the terms k >= N >= 2
     add at most zeta(2) C(w)(1 + 1/w) N^2 q^N / (1 - q)^3 to either sum;
     M = N - 1 is fixed a priori where that reaches tol times
     K_{1/2}(w) = sqrt(pi/(2w)) q, below the first term K_1(w) of G (and of
@@ -152,15 +157,18 @@ def _g_pass(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
     points = 2 * sum(m // n for n in range(1, s + 1)) - s * s
     if points > max_terms:
         raise budget_error("lattice_g", tol, f"needs {points} lattice points", max_terms)
-    # row n holds l = 1 .. m // n
-    counts = m // np.arange(1, m + 1)
-    n = np.repeat(np.arange(1, m + 1), counts)
-    l = np.arange(1, points + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-    y = w * (n * l)
+    # sigma_2(k), k <= m, by a sieve that visits each point n l <= m once
+    sigma2 = [0] * (m + 1)
+    for n in range(1, m + 1):
+        for nl in range(n, m + 1, n):
+            sigma2[nl] += n * n
+    sigma2 = np.array(sigma2[1:], dtype=float)
+    k = np.arange(1, m + 1)
+    y = w * k
     k1 = bessel_k(1.0, y)
     # fsum of a list: exact like fsum of the array, at half the cost
-    return (-math.fsum((n / l * k1).tolist()) / (2.0 * PI),
-            math.fsum((n * n * (bessel_k(0.0, y) + k1 / y)).tolist()))
+    return (-math.fsum((sigma2 / k * k1).tolist()) / (2.0 * PI),
+            math.fsum((sigma2 * (bessel_k(0.0, y) + k1 / y)).tolist()))
 
 
 def lattice_g(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> float:
@@ -253,7 +261,7 @@ def _e0_gradient(sides, field: FieldKind, tol: float):
     r, r_b, r_c = _r_pass(b / a, c / a, tol)
     if field is FieldKind.SCALAR_DIRICHLET:
         g_b, dg_b = _g_pass(b / a, tol)
-        g_c, dg_c = _g_pass(c / a, tol)
+        g_c, dg_c = (g_b, dg_b) if c == b else _g_pass(c / a, tol)
         energy = math.fsum([-(PI**2) * b * c / (1440.0 * a**3),
                             ZETA3 * (b + c) / (32.0 * PI * a**2), -PI / (96.0 * a),
                             -(PI / (2.0 * a)) * (g_b + g_c), -(1.0 / a) * r])
@@ -310,6 +318,15 @@ def e0(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL) -> float:
     return _e0_gradient(sorted(geom.sides), field, tol)[0]
 
 
+def e0_and_force_x(geom: BoxGeometry, field: FieldKind,
+                   tol: float = DEFAULT_TOL) -> tuple[float, float]:
+    """(`e0`, `e0_force_x`) of the box from one evaluation of E0 and its
+    gradient, bit for bit the values the two give separately."""
+    sides = sorted(geom.sides)
+    energy, gradient = _e0_gradient(sides, field, tol)
+    return energy, -gradient[sides.index(geom.a)]
+
+
 def e0_force_x(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL) -> float:
     """Zero-temperature force -dE0/da on the faces normal to the a axis.
 
@@ -319,5 +336,4 @@ def e0_force_x(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL) ->
     the chain rule through the sums' arguments in the b and c slots, by the
     homogeneity identity a dE0/da = -E0 - b dE0/db - c dE0/dc in the first.
     """
-    sides = sorted(geom.sides)
-    return -_e0_gradient(sides, field, tol)[1][sides.index(geom.a)]
+    return e0_and_force_x(geom, field, tol)[1]

@@ -148,8 +148,8 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_validate(args, out) -> int:
-    # imported here: validate pulls in scipy.integrate and mpmath, which no
-    # other command needs
+    # imported here: validate's oracles pull in mpmath, which no other
+    # command needs
     from . import validate
 
     results = validate.run_checks(args.filter)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _modesum
-from .boxzero import BoxGeometry, FieldKind, e0, e0_force_x, DEFAULT_TOL
+from .boxzero import BoxGeometry, FieldKind, e0, e0_and_force_x, e0_force_x, DEFAULT_TOL
 from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
 
 __all__ = [
@@ -284,7 +284,7 @@ _zero_t_memo = None
 
 
 def _zero_t(geom: BoxGeometry, field: FieldKind, tol: float):
-    """(E0, zero-T force) of the box.
+    """(E0, zero-T force) of the box, from one evaluation of E0 and its gradient.
 
     Memoized for the last geometry asked for, so a temperature sweep
     evaluates them once.  E0 depends on the sides only through their sorted
@@ -293,7 +293,7 @@ def _zero_t(geom: BoxGeometry, field: FieldKind, tol: float):
     global _zero_t_memo
     key = (geom.a, tuple(sorted(geom.sides)), field, tol)
     if _zero_t_memo is None or _zero_t_memo[0] != key:
-        _zero_t_memo = (key, e0(geom, field, tol), e0_force_x(geom, field, tol))
+        _zero_t_memo = (key, *e0_and_force_x(geom, field, tol))
     return _zero_t_memo[1:]
 
 

@@ -1,13 +1,13 @@
 """Independent desk-scale oracles and the golden-check runner.
 
 Everything here deliberately avoids the code paths of the main modules:
-Bessel functions come from adaptive quadrature of the integral
-representation, the lattice functions from direct brute-force summation
-with fixed cutoffs (in 30-digit arithmetic for the Bessel-kernel sums,
-compensated double precision for the plain log-sums), and thermodynamic
-relations from Richardson-extrapolated finite differences.  The
-zero-temperature energy also has an oracle that shares no formula with
-the G/R closed forms: an exponential-cutoff mode sum (oracle_e0_cutoff).
+Bessel functions come from mpmath's besselk in 30-digit arithmetic, the
+lattice functions from direct brute-force summation with fixed cutoffs
+(in 30-digit arithmetic for the Bessel-kernel sums, compensated double
+precision for the plain log-sums), and thermodynamic relations from
+Richardson-extrapolated finite differences.  The zero-temperature energy
+also has an oracle that shares no formula with the G/R closed forms: an
+exponential-cutoff mode sum (oracle_e0_cutoff).
 
 Pinned oracle outputs live in data/fixtures.txt, one per line:
 
@@ -19,6 +19,7 @@ handful of closed-form golden values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -46,29 +47,23 @@ __all__ = [
 _ORACLE_X_RANGE = (0.01, 50.0)
 
 
+@functools.lru_cache(maxsize=1024)
 def oracle_bessel_k(order: float, x: float) -> float:
-    """K_order(x) from the integral representation
-    int_0^inf exp(-x cosh u) cosh(order u) du, by adaptive quadrature.
+    """K_order(x) from mpmath's besselk in 30-digit arithmetic.
 
-    Valid for x in [0.01, 50]; independent of specfun's evaluation.
+    Valid for x in [0.01, 50]; independent of specfun's evaluation, which
+    shares neither its series nor its integral representation.  Cached:
+    K_0 and K_1 take up to 0.1 s each near x = 50, and the checks reuse
+    one grid.
     """
-    from scipy.integrate import quad  # about 0.3 s to import; only this oracle needs it
+    import mpmath  # imported only by the oracles that need it
 
     if order not in (0.0, 0.5, 1.0, 1.5):
         raise ValueError(f"unsupported order {order!r}")
     if not (_ORACLE_X_RANGE[0] <= x <= _ORACLE_X_RANGE[1]):
         raise ValueError(f"oracle_bessel_k: x={x!r} outside {_ORACLE_X_RANGE}")
-    # beyond u_max the integrand is below the double underflow threshold
-    u_max = math.acosh(746.0 / x)
-
-    def integrand(u: float) -> float:
-        return math.exp(-x * math.cosh(u)) * math.cosh(order * u)
-
-    # epsabs=0: the value can be exponentially small, only relative error counts
-    val, err = quad(integrand, 0.0, u_max, epsabs=0.0, epsrel=1e-13, limit=500)
-    if err > 1e-11 * abs(val):
-        raise RuntimeError(f"quadrature did not converge: estimate {val}, error {err}")
-    return val
+    with mpmath.workdps(30):
+        return float(mpmath.besselk(mpmath.mpf(order), mpmath.mpf(x)))
 
 
 def _oracle_g(z: float, cutoff: int) -> float:
@@ -514,7 +509,7 @@ def run_checks(name_filter: str | None = None, fixtures_path=None) -> list[Check
     )
     add("bessel:recurrence_k32", 1e-13, lambda: (bessel_k(0.5, 1.0) * 2.0, bessel_k(1.5, 1.0)))
 
-    def quadrature_grid_max_dev() -> float:
+    def oracle_grid_max_dev() -> float:
         grid = np.linspace(0.01, 50.0, 20)
         return max(
             _rel(oracle_bessel_k(order, float(x)), bessel_k(order, float(x)))
@@ -522,7 +517,7 @@ def run_checks(name_filter: str | None = None, fixtures_path=None) -> list[Check
             for x in grid
         )
 
-    add_bound("bessel:quadrature_grid_max_dev", 1e-11, quadrature_grid_max_dev)
+    add_bound("bessel:oracle_grid_max_dev", 1e-11, oracle_grid_max_dev)
 
     # paper-anchored electromagnetic cube energy (dimensionless a*E0)
     cube = BoxGeometry(1.0, 1.0, 1.0)

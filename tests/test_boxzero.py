@@ -81,7 +81,7 @@ ASPECT_CASES = [
 class TestLatticeG:
     def test_pinned_values(self):
         assert lattice_g(1.0) == pytest.approx(G_AT_1, rel=1e-9, abs=0)
-        assert lattice_g(0.5) == pytest.approx(G_AT_05, rel=1e-9)
+        assert lattice_g(0.5) == pytest.approx(G_AT_05, rel=1e-9, abs=0)
 
     def test_far_tail_negligible(self):
         # every term carries exp(-2 pi * 10 * n l)
@@ -333,3 +333,10 @@ class TestForce:
             ref = derivs[0]
             for d in derivs[1:]:
                 assert d == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("field", [SCALAR, EM])
+    def test_e0_and_force_x_is_both_calls_bitwise(self, field):
+        for sides in [*permutations((1.0, 2.0, 3.0)), (2.0, 2.0, 2.0), (1.0, 1.0, 5.0),
+                      (5.0, 1.0, 1.0), (0.1, 1.0, 10.0)]:
+            g = BoxGeometry(*sides)
+            assert boxzero.e0_and_force_x(g, field) == (e0(g, field), e0_force_x(g, field))

@@ -411,19 +411,29 @@ class TestTolerance:
 
 
 class TestImports:
-    def test_cli_import_leaves_out_validate_and_its_dependencies(self):
-        code = (
-            "import sys, casimirbox.cli; "
-            "print(sorted(m for m in ('casimirbox.validate', 'scipy.integrate', 'mpmath') "
-            "if m in sys.modules))"
-        )
+    @staticmethod
+    def _stdout_of(code):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_cli_import_leaves_out_validate_and_its_dependencies(self):
+        assert self._stdout_of(
+            "import sys, casimirbox.cli; "
+            "print(sorted(m for m in ('casimirbox.validate', 'scipy.integrate', 'mpmath') "
+            "if m in sys.modules))"
+        ) == "[]"
+
+    @pytest.mark.parametrize("module", ["casimirbox", "casimirbox.cli"])
+    def test_import_leaves_out_scipy(self, module):
+        assert self._stdout_of(
+            f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        ) == "[]"
 
 
 class TestValidateCommand:

@@ -17,7 +17,7 @@ from casimirbox.specfun import (
     richardson_derivative,
 )
 
-# pinned by the quadrature oracle (see data/fixtures.txt)
+# pinned by the 30-digit oracle (see data/fixtures.txt)
 K1_AT_1 = 0.60190723019723458
 
 
@@ -81,6 +81,60 @@ def test_array_and_scalar_agree():
         assert bessel_k(1.0, float(x)) == v
 
 
+def _mpmath_k(order, x):
+    import mpmath
+
+    with mpmath.workdps(30):
+        return float(mpmath.besselk(order, mpmath.mpf(float(x))))
+
+
+@pytest.mark.parametrize("order", [0.0, 1.0])
+def test_k0_k1_against_mpmath_on_log_grid(order):
+    xs = np.geomspace(1e-8, 700.0, 241)
+    ref = np.array([_mpmath_k(order, x) for x in xs])
+    assert np.max(np.abs(bessel_k(order, xs) / ref - 1.0)) <= 2e-15
+
+
+@pytest.mark.parametrize("order", [0.0, 1.0])
+def test_k0_k1_continuous_across_the_seam(order):
+    # the ascending series ends and the integral begins at x = 2: just
+    # either side of it both match mpmath, and the step between them is
+    # the function's own change to within roundoff
+    import mpmath
+
+    k2 = bessel_k(order, 2.0)
+    for delta in (math.ulp(1.0), 1e-12, 1e-9, 1e-6):
+        below = 2.0 - delta
+        assert abs(bessel_k(order, below) / _mpmath_k(order, below) - 1.0) <= 2e-15
+        with mpmath.workdps(30):
+            step = float(mpmath.besselk(order, mpmath.mpf(below)) - mpmath.besselk(order, 2))
+        assert abs((bessel_k(order, below) - k2) - step) <= 4e-15 * k2
+
+
+@pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 1.5])
+def test_array_and_scalar_bitwise_equal_across_the_seam(order):
+    xs = np.array([1e-8, 0.3, 1.999, math.nextafter(2.0, 0.0), 2.0, 2.001, 7.5, 300.0,
+                   800.0, 1.2])
+    arr = bessel_k(order, xs)
+    assert [bessel_k(order, float(x)) for x in xs] == arr.tolist()
+    # a value does not depend on the other arguments it is evaluated with
+    assert bessel_k(order, xs[::-1]).tolist() == arr[::-1].tolist()
+    assert bessel_k(order, xs[xs >= 2.0]).tolist() == arr[xs >= 2.0].tolist()
+
+
+@pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 1.5])
+def test_two_dimensional_input_keeps_its_shape(order):
+    xs = np.array([[0.5, 2.0, 3.0], [1e-3, 40.0, 1.5]])
+    out = bessel_k(order, xs)
+    assert out.shape == (2, 3)
+    assert out.ravel().tolist() == bessel_k(order, xs.ravel()).tolist()
+
+
+@pytest.mark.parametrize("order", [0.0, 1.0])
+def test_zero_past_the_underflow_of_exp(order):
+    assert not np.any(bessel_k(order, np.array([746.0, 800.0, 1e4, 1e300])))
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         bessel_k(1.0, 0.0)
@@ -88,6 +142,15 @@ def test_domain_errors():
         bessel_k(1.0, -3.0)
     with pytest.raises(ValueError):
         bessel_k(2.0, 1.0)
+
+
+@pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-300, -3.0])
+def test_nan_zero_and_negative_arguments_raise(order, bad):
+    with pytest.raises(ValueError):
+        bessel_k(order, bad)
+    with pytest.raises(ValueError):
+        bessel_k(order, np.array([1.0, 3.0, bad]))
 
 
 def test_tail_bound_examples():
