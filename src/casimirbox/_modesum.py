@@ -1,4 +1,4 @@
-"""Shell-truncated sums over box mode lattices.
+"""Truncated sums over box mode lattices, in two exact representations.
 
 All thermal quantities reduce to sums of a kernel f(n, r) over the
 positive index lattice of d = 2 or 3 axes, with
@@ -10,32 +10,50 @@ occur:
     energy:  r / (exp(r) - 1)                   (internal energy)
     force:   n^2 / (r (exp(r) - 1))             (a-derivative)
 
-One routine, `lattice_sums`, enumerates a lattice once and sums any of
-them together, evaluating exp(-r) once per point; `log_sum`, `force_sum`
-and `energy_sum` are its single-kernel views.
+One routine, `lattice_sums`, sums any of them together and returns each
+sum with a bound on its truncation error; `log_sum`, `force_sum` and
+`energy_sum` are its single-kernel views.  It has two forms of the same
+sums and takes whichever needs less work.
 
-Cutoff.  Each kernel is bounded by a decreasing g(r) = A r^k exp(-r), with
-A = beta_1^-s / (1 - exp(-r1)) and r1 = |beta| the radius of the first
-point: k = s = 0 for the log kernel (|ln(1 - u)| <= u / (1 - u)), k = 1,
-s = 0 for the energy kernel, and k = 1, s = 2 for the force kernel, whose
-n^2 is at most (r / beta_1)^2.  Every lattice point m owns the cell
-prod_i [beta_i (m_i - 1), beta_i m_i] of volume prod_i beta_i, and every y
-in that cell has r(m) - r1 <= |y| <= r(m).  So when R - r1 >= k, where g
-decreases, each point beyond R is at most the mean of g(|y|) over its
-cell, the cells are disjoint and lie in the positive orthant outside the
-ball of radius R - r1, and the points beyond R sum to at most
+Direct form.  The lattice is enumerated in slabs of fixed n, exp(-r)
+evaluated once per point.  Each kernel is bounded by a decreasing
+g(r) = A r^k exp(-r), with A = beta_1^-s / (1 - exp(-r1)) and r1 = |beta|
+the radius of the first point: k = s = 0 for the log kernel
+(|ln(1 - u)| <= u / (1 - u)), k = 1, s = 0 for the energy kernel, and
+k = 1, s = 2 for the force kernel, whose n^2 is at most (r / beta_1)^2.
+Every lattice point m owns the cell prod_i [beta_i (m_i - 1), beta_i m_i] of
+volume prod_i beta_i, and every y in that cell has r(m) - r1 <= |y| <= r(m).
+A point beyond the cut radius R >= k therefore adds at most the mean of
+g(max(|y|, R)) over its cell, and the cells lie in the positive orthant
+outside the ball of radius R - r1, so the points beyond R sum to at most
 
-    (pi/2) A Gamma(d + k, R - r1) / prod_i beta_i
+    (pi/2) A [R^k exp(-R) (R^d - (R - r1)^d) / d + Gamma(d + k, R)] / prod_i beta_i
 
 for d = 2 and 3 alike (the orthant's share of the sphere's area is pi/2 in
-both).  Gamma(n, x) = (n-1)! exp(-x) sum_{j<n} x^j / j! for integer n, so
-the bound decays like exp(-R).  R is the smallest radius at which every
-requested kernel's bound is at most tol times its first (largest) term, a
-lower bound on |sum| since every kernel has a fixed sign; `tighten`
-shrinks every bound reached there by a further factor.  The lattice is
-enumerated in slabs of fixed n, each slab's points inside R as one array,
-and the slab sums are added with fsum; the order is fixed, so results are
-deterministic.
+both).  The bound is anchored at R: it decays like exp(-R) and needs R only
+about ln(1/tol) beyond r1, where the plain integral from R - r1 needed
+twice r1.  R is the smallest radius at which every requested kernel's bound
+is at most tol times its first (largest) term, a lower bound on |sum| since
+every kernel has a fixed sign; `tighten` shrinks every bound reached there
+by a further factor.  Its cost grows like prod_i (R / beta_i), t^-d at
+high temperature.
+
+Dual form.  At high temperature the same sums are taken over the
+Poisson-resummed lattice of `_dualsum`, whose cost barely grows with T;
+it returns the same `LatticeSums`, and is imported only for a lattice
+large enough to consider it, since compiling it would cost every
+command-line call.
+
+Choice.  Both forms know their work before they sum: the direct form its
+point count and slab count, the dual form its term count once its cut is
+planned, and an estimate of it before.  The dual form is planned only
+where its fixed costs and estimated terms undercut the direct sum, or where
+the direct form is over budget; once planned, the form with the smaller
+remaining cost that fits the budget runs.  Costs are weighed in measured
+units of one direct lattice point.  Every lattice of the benchmark up to
+300 K sums directly without planning.  Both forms return the same
+`LatticeSums`.  Sums are added with fsum over fixed partial sums, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -50,8 +68,8 @@ from .errors import budget_error, check_tol
 __all__ = ["LatticeSums", "lattice_sums", "log_sum", "force_sum", "energy_sum",
            "DEFAULT_MAX_POINTS"]
 
-#: Library-level cap on lattice points per sum.  The CLI exposes its own,
-#: smaller default via --max-shell.
+#: Library-level cap on lattice points (direct form) or dual terms per sum.
+#: The CLI exposes its own, smaller default via --max-shell.
 DEFAULT_MAX_POINTS = 50_000_000
 
 #: Volume of the positive-orthant part of the unit d-ball (pi/4, pi/6),
@@ -61,13 +79,43 @@ _ORTHANT_BALL = {2: 0.7854, 3: 0.5236}
 #: (k, s) of each kernel's bound |f| <= beta_1^-s r^k exp(-r) / (1 - exp(-r1))
 _KERNEL_BOUNDS = {"log": (0, 0), "energy": (1, 0), "force": (1, 2)}
 
+#: The forms' costs in units of one direct lattice point, fitted to timed
+#: sums over the benchmark's boxes and two more (1x2x3, 5x1x3 um) at
+#: 1-10 kK: a direct point 16 ns and a slab 20 us; a dual term 430 ns plus
+#: 0.22 ms per evaluation, and planning 0.4 ms (2 axes) or 1.2 ms (3 axes).
+#: The dual form is planned only where it may win, and runs where its
+#: evaluation costs less than the direct sum.
+_SLAB_COST = 1300
+_DUAL_TERM_COST = 28
+_DUAL_EVAL_COST = 14_000
+_DUAL_PLAN_COST = {2: 25_000, 3: 75_000}
+
+#: The dual form is not planned for targets below exp(-_DUAL_MAX_DEPTH):
+#: its cut X would then pass the underflow of exp(-X), at temperatures
+#: where the direct form costs a few points anyway.
+_DUAL_MAX_DEPTH = 600.0
+
+#: Nor when it would keep more than _DUAL_MAX_ROWS rows n <= X / beta_K:
+#: the plan holds a few array entries per row and image, and at the cap it
+#: took 2.4 s and 95 MB (three axes at beta = 0.0012; about a 0.2 mm cube
+#: at 10 kK).  Larger boxes fall to the direct form and its budget.
+_DUAL_MAX_ROWS = 20_000
+
 
 class LatticeSums(NamedTuple):
-    """Each requested kernel's sum and the tail bound reached, by kernel name."""
+    """Each requested kernel's sum and the tail bound reached, by kernel name.
+
+    `radius` is the cut on the exponent of the terms kept (r in the direct
+    form, u = A q in the dual form), `form` names the form that ran, and
+    `scale` is the sum of |term| per kernel: a few eps times it bounds the
+    roundoff of the sum.
+    """
 
     sums: dict
     bounds: dict
     radius: float
+    form: str = "direct"
+    scale: dict | None = None
 
 
 def _slab_sums(kernels, n: int, r: np.ndarray) -> list[float]:
@@ -86,36 +134,43 @@ def _slab_sums(kernels, n: int, r: np.ndarray) -> list[float]:
     return out
 
 
-def _log_gamma_tail(n: int, x: float) -> float:
-    """ln Gamma(n, x) for integer n >= 1."""
-    return math.log(math.factorial(n - 1) * sum(x**j / math.factorial(j) for j in range(n))) - x
+# ----------------------------------------------------------------------
+# direct form
 
 
-def _gap_for(n: int, log_target: float) -> float:
-    """The smallest x >= 0 with ln Gamma(n, x) <= log_target.
+def _log_tail(d: int, k: int, r1: float, radius: float) -> tuple[float, float]:
+    """ln of R^k exp(-R) (R^d - (R - r1)^d)/d + Gamma(d + k, R), and its
+    derivative in R, at R = radius >= r1."""
+    n = d + k
+    # Gamma(n, R) = (n-1)! exp(-R) sum_{j<n} R^j / j! and its polynomial's derivative
+    terms = [radius**j / math.factorial(j) for j in range(n)]
+    gamma, dgamma = math.factorial(n - 1) * sum(terms), math.factorial(n - 1) * sum(terms[:-1])
+    inner = radius - r1
+    shell = radius**k * (radius**d - inner**d) / d
+    dshell = (k * radius ** (k - 1) * (radius**d - inner**d) / d
+              + radius**k * (radius ** (d - 1) - inner ** (d - 1)))
+    poly = shell + gamma
+    return math.log(poly) - radius, (dshell + dgamma) / poly - 1.0
 
-    ln Gamma(n, x) is decreasing and concave in x, so Newton's method
-    lands at or beyond the root after its first step and then falls
-    monotonically onto it: the result never undershoots.
-    """
-    if _log_gamma_tail(n, 0.0) <= log_target:
-        return 0.0
-    log_fact = math.log(math.factorial(n - 1))
-    # the root of x = log_fact + (n-1) ln x - log_target, near the true one
-    x = max(log_fact - log_target, 1.0)
-    x = max(log_fact + (n - 1) * math.log(x) - log_target, 1.0)
+
+def _radius_for(d: int, k: int, r1: float, level: float) -> float:
+    """The first R >= max(r1, k) with _log_tail(d, k, r1, R)[0] <= level,
+    to rounding: Newton's method from max(r1, k), then a guard that steps
+    on while the bound still misses."""
+    radius = max(r1, float(k))
+    value, slope = _log_tail(d, k, r1, radius)
+    if value <= level:
+        return radius
     for _ in range(100):
-        # term = x^(n-1)/(n-1)!, total = sum_{j<n} x^j/j!
-        term = total = 1.0
-        for j in range(1, n):
-            term *= x / j
-            total += term
-        # Newton step: d/dx ln Gamma(n, x) = -term / total
-        step = (log_fact + math.log(total) - x - log_target) * total / term
-        x += step
-        if abs(step) <= 1e-12 * x:
+        step = (value - level) / -slope if slope < 0.0 else value - level + 1.0
+        radius += step
+        value, slope = _log_tail(d, k, r1, radius)
+        if abs(step) <= 1e-12 * radius:
             break
-    return x
+    while value > level:
+        radius += max(value - level, 1e-12 * radius)
+        value, _ = _log_tail(d, k, r1, radius)
+    return radius
 
 
 def _less_squares(r2: float, betas) -> float:
@@ -159,61 +214,146 @@ def _slabs(betas, radius: float):
         yield n, r
 
 
-def lattice_sums(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS,
-                 kernels=("log", "energy", "force"), tighten: float = 1.0) -> LatticeSums:
-    """Sum the named kernels over the index lattice m_i >= 1 of 2 or 3 axes.
+class _DirectPlan(NamedTuple):
+    radius: float
+    bounds: dict
+    points: float
 
-    One enumeration serves every kernel.  The cutoff radius makes each
-    kernel's tail bound at most tol times its first term; with tighten > 1
-    it then grows until every bound reached there has fallen by that
-    factor.  The bounds reached are returned with the sums.
-    """
+
+def _direct_plan(betas, kernels, log_targets: dict, tighten: float) -> _DirectPlan:
+    """The direct form's cut radius, the bounds reached there and its point count."""
+    d, r1 = len(betas), math.hypot(*betas)
+    # ln of each kernel's (pi/2) A / prod beta; the targets are logs, since
+    # at low temperature the first terms can be subnormal and tol times
+    # them underflow
+    log_scale = math.log(math.pi / 2.0) - math.log(-math.expm1(-r1)) - sum(map(math.log, betas))
+    log_a = {name: log_scale - _KERNEL_BOUNDS[name][1] * math.log(betas[0]) for name in kernels}
+    order = {name: _KERNEL_BOUNDS[name][0] for name in kernels}
+    radius = max(_radius_for(d, order[name], r1, log_targets[name] - log_a[name])
+                 for name in log_targets)
+    if tighten > 1.0:
+        # every bound reached at this radius falls by the factor tighten
+        radius = max(_radius_for(d, order[name], r1,
+                                 _log_tail(d, order[name], r1, radius)[0] - math.log(tighten))
+                     for name in kernels)
+    bounds = {name: math.exp(log_a[name] + _log_tail(d, order[name], r1, radius)[0])
+              for name in kernels}
+    return _DirectPlan(radius, bounds, _ORTHANT_BALL[d] * radius**d / math.prod(betas))
+
+
+def _direct_eval(betas, kernels, plan: _DirectPlan) -> LatticeSums:
+    slabs = [_slab_sums(kernels, n, r) for n, r in _slabs(betas, plan.radius)]
+    sums = ({name: math.fsum(col) for name, col in zip(kernels, zip(*slabs))} if slabs
+            else dict.fromkeys(kernels, 0.0))
+    # every kernel has a fixed sign: the sum of |term| is |sum|
+    return LatticeSums(sums, plan.bounds, plan.radius, "direct",
+                       {name: abs(v) for name, v in sums.items()})
+
+
+# ----------------------------------------------------------------------
+# entry points
+
+
+def _checked(betas, tol: float, kernels, tighten: float):
     check_tol(tol)
     kernels = tuple(kernels)
     betas = tuple(float(b) for b in betas)
     if any(not (math.isfinite(b) and b > 0.0) for b in betas):
         raise ValueError(f"reduced frequencies must be positive and finite, got {betas}")
-    d = len(betas)
-    if d not in _ORTHANT_BALL:
+    if len(betas) not in _ORTHANT_BALL:
         raise ValueError("expected 2 or 3 reduced frequencies")
     if not (math.isfinite(tighten) and tighten >= 1.0):
         raise ValueError(f"tighten must be finite and >= 1, got {tighten!r}")
     if not kernels or any(name not in _KERNEL_BOUNDS for name in kernels):
         raise ValueError(f"kernels must name some of {sorted(_KERNEL_BOUNDS)}, got {kernels!r}")
-    zeros = dict.fromkeys(kernels, 0.0)
-    r1 = math.sqrt(sum(b * b for b in betas))
+    return betas, kernels
+
+
+def _targets(betas, tol: float, kernels) -> dict:
+    """ln(tol |first term|) of each kernel whose first term does not underflow."""
+    r1 = math.hypot(*betas)
     if r1 > 745.0:
-        return LatticeSums(zeros, dict(zeros), r1)
-    # ln of each kernel's (pi/2) A / prod beta, and the order d + k of its
-    # Gamma; the targets are formed as logs, since at low temperature the
-    # first terms can be subnormal and tol times them underflow
-    log_scale = math.log(math.pi / 2.0) - math.log(-math.expm1(-r1)) - sum(map(math.log, betas))
-    log_a = {name: log_scale - _KERNEL_BOUNDS[name][1] * math.log(betas[0]) for name in kernels}
-    orders = {name: d + _KERNEL_BOUNDS[name][0] for name in kernels}
+        return {}
     firsts = _slab_sums(kernels, 1, np.array([r1]))
-    gaps = [
-        _gap_for(orders[name], math.log(tol) + math.log(abs(first)) - log_a[name])
-        for name, first in zip(kernels, firsts)
-        if first != 0.0
-    ]
-    if not gaps:
-        return LatticeSums(zeros, dict(zeros), r1)
-    # each bound A r^k exp(-r) holds for the cells only where it decreases, r >= k
-    gap = max(*gaps, *(_KERNEL_BOUNDS[name][0] for name in kernels))
-    if tighten > 1.0:
-        # every bound reached at this gap falls by the factor tighten
-        gap = max(_gap_for(n, _log_gamma_tail(n, gap) - math.log(tighten))
-                  for n in set(orders.values()))
-    radius = r1 + gap
-    est_points = _ORTHANT_BALL[d] * radius**d / math.prod(betas)
-    if est_points > max_points:
-        raise budget_error(
-            "box mode sum", tol, f"needs about {est_points:.3e} lattice points", max_points
-        )
-    bounds = {name: math.exp(log_a[name] + _log_gamma_tail(orders[name], gap)) for name in kernels}
-    slabs = [_slab_sums(kernels, n, r) for n, r in _slabs(betas, radius)]
-    sums = {name: math.fsum(col) for name, col in zip(kernels, zip(*slabs))} if slabs else zeros
-    return LatticeSums(sums, bounds, radius)
+    return {name: math.log(tol) + math.log(abs(first))
+            for name, first in zip(kernels, firsts) if first != 0.0}
+
+
+def _budget(points: float, tol: float, max_points: int):
+    if points > max_points:
+        raise budget_error("box mode sum", tol, f"needs about {points:.3e} lattice points",
+                           max_points)
+
+
+def _zeros(betas, kernels) -> LatticeSums:
+    zeros = dict.fromkeys(kernels, 0.0)
+    return LatticeSums(zeros, dict(zeros), math.hypot(*betas), "direct", dict(zeros))
+
+
+def _direct_sums(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS,
+                 kernels=("log", "energy", "force"), tighten: float = 1.0) -> LatticeSums:
+    """`lattice_sums` in the direct form."""
+    betas, kernels = _checked(betas, tol, kernels, tighten)
+    targets = _targets(betas, tol, kernels)
+    if not targets:
+        return _zeros(betas, kernels)
+    plan = _direct_plan(betas, kernels, targets, tighten)
+    _budget(plan.points, tol, max_points)
+    return _direct_eval(betas, kernels, plan)
+
+
+def _dual_sums(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS,
+               kernels=("log", "energy", "force"), tighten: float = 1.0) -> LatticeSums:
+    """`lattice_sums` in the dual form."""
+    betas, kernels = _checked(betas, tol, kernels, tighten)
+    targets = _targets(betas, tol, kernels)
+    if not targets:
+        return _zeros(betas, kernels)
+    from . import _dualsum
+
+    plan = _dualsum.plan(betas, kernels, targets, tighten)
+    _budget(plan.terms, tol, max_points)
+    return _dualsum.evaluate(betas, kernels, plan)
+
+
+def lattice_sums(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS,
+                 kernels=("log", "energy", "force"), tighten: float = 1.0) -> LatticeSums:
+    """Sum the named kernels over the index lattice m_i >= 1 of 2 or 3 axes.
+
+    One pass serves every kernel, in the direct or the dual form, whichever
+    costs less.  Each kernel's tail bound is at most tol times its first
+    term; with tighten > 1 every bound reached falls by that factor too.
+    The bounds reached are returned with the sums.  `max_points` caps the
+    lattice points (direct) or terms (dual) of the form that runs.
+    """
+    betas, kernels = _checked(betas, tol, kernels, tighten)
+    targets = _targets(betas, tol, kernels)
+    if not targets:
+        return _zeros(betas, kernels)
+    direct = _direct_plan(betas, kernels, targets, tighten)
+    direct_cost = direct.points + _SLAB_COST * direct.radius / betas[0]
+    # the dual form keeps at least its rows n <= -ln(target) / beta_K, and
+    # its terms exp(-u), u <= X, must not underflow
+    depth = -min(targets.values())
+    dual_fixed = _DUAL_PLAN_COST[len(betas)] + _DUAL_EVAL_COST
+    if ((direct_cost > dual_fixed or direct.points > max_points)
+            and depth / max(betas) <= min(max_points, _DUAL_MAX_ROWS)
+            and depth < _DUAL_MAX_DEPTH):
+        from . import _dualsum
+
+        # planned where it may win, or where the direct form is over budget
+        if (dual_fixed + _DUAL_TERM_COST * _dualsum.estimate_terms(betas, targets) < direct_cost
+                or direct.points > max_points):
+            dual = _dualsum.plan(betas, kernels, targets, tighten)
+            dual_cost = _DUAL_TERM_COST * dual.terms + _DUAL_EVAL_COST
+            # the cheaper form within the budget, else the cheaper one's error
+            if ((dual_cost < direct_cost or direct.points > max_points)
+                    and dual.terms <= max_points):
+                return _dualsum.evaluate(betas, kernels, dual)
+            if direct.points > max_points and dual_cost < direct_cost:
+                _budget(dual.terms, tol, max_points)
+    _budget(direct.points, tol, max_points)
+    return _direct_eval(betas, kernels, direct)
 
 
 def log_sum(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS) -> float:

@@ -31,8 +31,10 @@ same lattice points.  G's points n l <= M are cut once, M solved from a
 closed-form bound sum_{m > M} m^k q^m, q = exp(-2 pi z), on the discarded
 terms of G and of dG/dz.  R's kernel K_{3/2} is elementary, so its sum over
 j is taken in closed form at each lattice point, and the (l, p) plane is
-cut once, at a radius fixed a priori by an analytic bound on the discarded
-points of R and of both its derivatives.
+cut once, at a radius fixed a priori by an integral-test bound on the
+discarded points of R and of both its derivatives; R is summed to double
+precision, since E0 and the zero-T force it feeds are pinned to 1e-12 and
+better.
 
 The zero-temperature force is a view of the analytic gradient of E0, not a
 finite difference: dE0/db and dE0/dc by the chain rule through the sums'
@@ -43,6 +45,7 @@ a dE0/da + b dE0/db + c dE0/dc = -E0, exact because E0 scales as 1/length.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -73,6 +76,9 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 5_000_000
 
 _RATIO_CEIL = 1e6
+
+#: Double-precision epsilon, the relative floor of the R pass's cut.
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -188,9 +194,10 @@ def _r_pass(z1: float, z2: float, tol: float = DEFAULT_TOL, max_terms: int = DEF
     dR/dz1 = R/z1 + (z2/8) sum (l z1)^2 phi'(rho)/rho, and likewise for z2.
     Each point adds at most rho |phi'(rho)| <= cd exp(-2 pi rho) to either
     derivative sum, and cd is more than twice the constant of phi's own
-    envelope, so one cut of the plane serves all three: at the ellipse radius
-    where an analytic bound on the discarded points reaches tol times the
-    largest term of R.  Symmetric under z1 <-> z2, the derivatives swapping.
+    envelope, so one cut of the plane serves all three: at the radius where an
+    integral-test bound on the discarded points, decaying like
+    exp(-2 pi rho) as the terms do, reaches min(tol, eps) times the largest
+    term of R.  Symmetric under z1 <-> z2, the derivatives swapping.
     """
     for name, v in (("z1", z1), ("z2", z2)):
         if not (math.isfinite(v) and v > 0.0):
@@ -209,12 +216,36 @@ def _r_pass(z1: float, z2: float, tol: float = DEFAULT_TOL, max_terms: int = DEF
     cb = (1.0 / (2.0 * rho_min**2)) * (1.0 / e_min**2 + 1.0 / (y_min * e_min))
     cd = (PI / rho_min) * ((1.0 + x_min) / e_min**3
                            + (1.0 / e_min + 1.0 / y_min) / (y_min * e_min)) + 2.0 * cb
-    # lattice-counting factor: rho >= (l z1 + p z2)/sqrt(2) makes the sum of
-    # exp(-pi rho) over all points factorize into two geometric series
-    s2 = math.sqrt(2.0)
-    qq = 4.0 / ((1.0 - math.exp(-PI * z1 / s2)) * (1.0 - math.exp(-PI * z2 / s2)))
-    # the discarded points then add at most cd qq exp(-pi R) = tol first
-    radius = (math.log(cd * qq) - math.log(tol) - math.log(first)) / PI
+    # integral test: each point l, p >= 1 owns the cell [z1 (l-1), z1 l] x
+    # [z2 (p-1), z2 p], all of whose points y have rho - rho1 <= |y| <= rho,
+    # rho1 = |(z1, z2)|, so a point beyond the cut radius R adds at most the
+    # mean of cd exp(-2 pi max(|y|, R)) over its cell; the cells lie in the
+    # quadrant outside the circle of radius R - rho1.  The axis points are
+    # two geometric series.  With the weights 4 and 2 of the four quadrants
+    # and the two half-axes, the discarded points add at most
+    # cd exp(-2 pi R) poly(R), poly(R) = scale (shell + tail) + axes
+    rho1 = math.hypot(z1, z2)
+    scale = 2.0 * PI / (z1 * z2)
+    axes = 2.0 / -math.expm1(-2.0 * PI * z1) + 2.0 / -math.expm1(-2.0 * PI * z2)
+    # that bound is set to eps times the first term, not tol times it: cut
+    # at tol alone, R keeps up to 1.3e-14 of its tail (at (0.5, 2)), which E0
+    # and its gradient, good to 1e-12 and better, would show
+    level = math.log(cd) - math.log(min(tol, _EPS) * first)
+
+    def excess(rad: float) -> float:
+        """ln(bound / target) at radius rad."""
+        inner = max(rad - rho1, 0.0)
+        return level + math.log(scale * ((rad * rad - inner * inner) / 2.0 + rad / (2.0 * PI)
+                                         + 1.0 / (4.0 * PI**2)) + axes) - 2.0 * PI * rad
+
+    # the root of R = (level + ln poly(R)) / (2 pi): ln poly > 0 grows far
+    # slower than 2 pi R, so one step of that map from R = level / (2 pi)
+    # lands a few hundredths below it; a margin of 0.05 then passes it,
+    # which the last loop checks
+    radius = level / (2.0 * PI)
+    radius += excess(radius) / (2.0 * PI) + 0.05
+    while excess(radius) > 0.0:
+        radius += max(excess(radius) / (2.0 * PI), 1e-12 * radius)
     radius = max(radius, 1.5 * rho_min + 1.0)
     n1 = int(radius / z1) + 1
     n2 = int(radius / z2) + 1
@@ -248,7 +279,7 @@ def lattice_r(z1: float, z2: float, tol: float = DEFAULT_TOL,
     return _r_pass(z1, z2, tol, max_terms)[0]
 
 
-def _e0_gradient(sides, field: FieldKind, tol: float):
+def _e0_gradient(sides, field: FieldKind, tol: float, max_terms: int = DEFAULT_MAX_TERMS):
     """E0 and its gradient (dE0/da, dE0/db, dE0/dc), the sides in the slots given.
 
     b and c enter the closed form through its polynomial terms and the sums'
@@ -258,10 +289,10 @@ def _e0_gradient(sides, field: FieldKind, tol: float):
     a dE0/da = -E0 - b dE0/db - c dE0/dc.
     """
     a, b, c = sides
-    r, r_b, r_c = _r_pass(b / a, c / a, tol)
+    r, r_b, r_c = _r_pass(b / a, c / a, tol, max_terms)
     if field is FieldKind.SCALAR_DIRICHLET:
-        g_b, dg_b = _g_pass(b / a, tol)
-        g_c, dg_c = (g_b, dg_b) if c == b else _g_pass(c / a, tol)
+        g_b, dg_b = _g_pass(b / a, tol, max_terms)
+        g_c, dg_c = (g_b, dg_b) if c == b else _g_pass(c / a, tol, max_terms)
         energy = math.fsum([-(PI**2) * b * c / (1440.0 * a**3),
                             ZETA3 * (b + c) / (32.0 * PI * a**2), -PI / (96.0 * a),
                             -(PI / (2.0 * a)) * (g_b + g_c), -(1.0 / a) * r])
@@ -270,7 +301,7 @@ def _e0_gradient(sides, field: FieldKind, tol: float):
         e_c = math.fsum([-(PI**2) * b / (1440.0 * a**3), ZETA3 / (32.0 * PI * a**2),
                          -(PI / (2.0 * a**2)) * dg_c, -r_c / a**2])
     elif field is FieldKind.ELECTROMAGNETIC:
-        g, dg = _g_pass(c / b, tol)
+        g, dg = _g_pass(c / b, tol, max_terms)
         energy = math.fsum([-(PI**2) * b * c / (720.0 * a**3), -ZETA3 * c / (16.0 * PI * b**2),
                             (PI / 48.0) * (1.0 / a + 1.0 / b), (PI / b) * g, -(2.0 / a) * r])
         e_b = math.fsum([-(PI**2) * c / (720.0 * a**3), ZETA3 * c / (8.0 * PI * b**3),
@@ -283,7 +314,8 @@ def _e0_gradient(sides, field: FieldKind, tol: float):
     return energy, (-math.fsum([energy, b * e_b, c * e_c]) / a, e_b, e_c)
 
 
-def e0_scalar(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
+def e0_scalar(geom: BoxGeometry, tol: float = DEFAULT_TOL,
+              max_terms: int = DEFAULT_MAX_TERMS) -> float:
     """Renormalized zero-temperature energy of a Dirichlet scalar in the box.
 
     E0 = -pi^2 bc/(1440 a^3) + zeta(3)(b+c)/(32 pi a^2) - pi/(96 a)
@@ -292,10 +324,11 @@ def e0_scalar(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
     Evaluated in the slot order given.  With a the shortest side every
     G and R argument is at least 1; `e0` arranges that.
     """
-    return _e0_gradient(geom.sides, FieldKind.SCALAR_DIRICHLET, tol)[0]
+    return _e0_gradient(geom.sides, FieldKind.SCALAR_DIRICHLET, tol, max_terms)[0]
 
 
-def e0_em(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
+def e0_em(geom: BoxGeometry, tol: float = DEFAULT_TOL,
+          max_terms: int = DEFAULT_MAX_TERMS) -> float:
     """Renormalized zero-temperature electromagnetic energy of the box.
 
     E0 = -pi^2 bc/(720 a^3) - zeta(3) c/(16 pi b^2) + (pi/48)(1/a + 1/b)
@@ -306,28 +339,31 @@ def e0_em(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
     only with a <= b <= c is every G and R argument at least 1, and the
     sums fast and accurate.  `e0` sorts the sides that way.
     """
-    return _e0_gradient(geom.sides, FieldKind.ELECTROMAGNETIC, tol)[0]
+    return _e0_gradient(geom.sides, FieldKind.ELECTROMAGNETIC, tol, max_terms)[0]
 
 
-def e0(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL) -> float:
+def e0(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL,
+       max_terms: int = DEFAULT_MAX_TERMS) -> float:
     """Zero-temperature energy for the requested field kind.
 
     The closed form is evaluated with the sides in ascending order, so
     the result is the same, bit for bit, for every order of the sides.
+    `max_terms` caps the lattice points of each G and R pass.
     """
-    return _e0_gradient(sorted(geom.sides), field, tol)[0]
+    return _e0_gradient(sorted(geom.sides), field, tol, max_terms)[0]
 
 
-def e0_and_force_x(geom: BoxGeometry, field: FieldKind,
-                   tol: float = DEFAULT_TOL) -> tuple[float, float]:
+def e0_and_force_x(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL,
+                   max_terms: int = DEFAULT_MAX_TERMS) -> tuple[float, float]:
     """(`e0`, `e0_force_x`) of the box from one evaluation of E0 and its
     gradient, bit for bit the values the two give separately."""
     sides = sorted(geom.sides)
-    energy, gradient = _e0_gradient(sides, field, tol)
+    energy, gradient = _e0_gradient(sides, field, tol, max_terms)
     return energy, -gradient[sides.index(geom.a)]
 
 
-def e0_force_x(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL) -> float:
+def e0_force_x(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL,
+               max_terms: int = DEFAULT_MAX_TERMS) -> float:
     """Zero-temperature force -dE0/da on the faces normal to the a axis.
 
     The analytic gradient of the closed form, from the same G and R passes
@@ -336,4 +372,4 @@ def e0_force_x(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL) ->
     the chain rule through the sums' arguments in the b and c slots, by the
     homogeneity identity a dE0/da = -E0 - b dE0/db - c dE0/dc in the first.
     """
-    return e0_and_force_x(geom, field, tol)[1]
+    return e0_and_force_x(geom, field, tol, max_terms)[1]

@@ -192,7 +192,7 @@ def _add_tol_args(p: argparse.ArgumentParser):
         dest="max_shell",
         type=int,
         default=1_000_000,
-        help="maximum lattice points per sum",
+        help="maximum lattice points (or dual-form terms) per sum, E0's included",
     )
 
 

@@ -22,20 +22,28 @@ of the same representation, the zero-temperature force from the analytic
 gradient of E0; nothing is differentiated numerically.
 
 Accuracy contract.  `free_energy`, `force_x`, `internal_energy` and
-`entropy` are views of one row per state point (T > 0), which enumerates
-each of the field's mode lattices once for the log, energy and force
-kernels.  `tol` bounds each printed total: the truncation error of the mode
-series in F, U, S kT and the force, bounded by the tail bounds the sums
-return, is at most tol times that total, or eps times the size of its
-pieces where the total cancels below that.  A row that misses is summed
-once more to a larger radius.  `thermal_raw` sums its series to tol alone.
+`entropy` are views of one row per state point (T > 0), which sums each of
+the field's mode lattices once for the log, energy and force kernels, in
+whichever of `_modesum`'s two exact forms costs less: the direct lattice
+sum, or its Poisson-resummed dual at high temperature, where the direct
+sum's cost grows like t^-3 and the dual's barely grows.  Both return tail
+bounds, so the check below does not depend on the form.  `tol` bounds each
+printed total: the truncation error of the mode series in F, U, S kT and
+the force, bounded by the tail bounds the sums return, is at most tol times
+that total, or eps times the size of its pieces where the total cancels
+below that (at high T the mode series cancel against the subtractions by up
+to (kT a)^3).  A row that misses is summed once more with every tail bound
+cut by the worst ratio.  `thermal_raw` sums its series to tol alone.  E0's
+own series error is not in the check: its G pass is summed to tol, its R
+pass to double precision.  `max_points` caps every sum of a row, the
+G and R passes of E0 included.
 
 Caches.  Two one-entry caches, neither a setting: the last row, keyed on
 the exact (sides, field, T, tol, max_points), so F, the force, U and S
 asked for in turn cost one row; and the last box's E0 and zero-T force,
-keyed on (a, sorted sides, field, tol), so a temperature sweep evaluates
-them once.  Each output depends only on its own inputs, never on the order
-of the calls.
+keyed on (a, sorted sides, field, tol, max_points), so a temperature sweep
+evaluates them once.  Each output depends only on its own inputs, never on
+the order of the calls.
 """
 
 from __future__ import annotations
@@ -283,17 +291,19 @@ def _force_subtraction_terms(geom: BoxGeometry, field: FieldKind, tp: ThermalPoi
 _zero_t_memo = None
 
 
-def _zero_t(geom: BoxGeometry, field: FieldKind, tol: float):
+def _zero_t(geom: BoxGeometry, field: FieldKind, tol: float, max_points: int):
     """(E0, zero-T force) of the box, from one evaluation of E0 and its gradient.
 
     Memoized for the last geometry asked for, so a temperature sweep
     evaluates them once.  E0 depends on the sides only through their sorted
-    order, the force also on which of them is a.
+    order, the force also on which of them is a; the budget is part of the
+    key, so a budget too small for the G and R passes raises even after a
+    larger one succeeded.
     """
     global _zero_t_memo
-    key = (geom.a, tuple(sorted(geom.sides)), field, tol)
+    key = (geom.a, tuple(sorted(geom.sides)), field, tol, max_points)
     if _zero_t_memo is None or _zero_t_memo[0] != key:
-        _zero_t_memo = (key, *e0_and_force_x(geom, field, tol))
+        _zero_t_memo = (key, *e0_and_force_x(geom, field, tol, max_points))
     return _zero_t_memo[1:]
 
 
@@ -338,7 +348,6 @@ def _evaluate_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: fl
     cancels below it.  If any total misses, the lattices are summed once
     more with every tail bound cut by the worst ratio.
     """
-    e0_ren, f0 = _zero_t(geom, field, tol)
     kt = tp.kt
     bb, a1, a2 = _subtraction_terms(geom, field, tp)
     force_scale = PI**2 * tp.beta / geom.a**3
@@ -347,6 +356,9 @@ def _evaluate_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: fl
     tighten = 1.0
     while True:
         sums, bounds = _mode_sums(field, betas, tol, max_points, tighten=tighten)
+        # after the mode sums, so a budget too small for both names them;
+        # memoized, so the re-sum does not repeat it
+        e0_ren, f0 = _zero_t(geom, field, tol, max_points)
         raw, modes_u, modes_f = kt * sums["log"], kt * sums["energy"], force_scale * sums["force"]
         # (pieces of a total, bound on its truncation error): F, U, S kT, force
         checks = [
@@ -388,7 +400,7 @@ def free_energy(
     holds identically.
     """
     if tp.temperature == 0.0:
-        e0_ren = e0(geom, field, tol)
+        e0_ren = e0(geom, field, tol, max_points)
         return EnergyBreakdown(e0_ren, 0.0, 0.0, 0.0, 0.0, e0_ren)
     return _row(geom, field, tp, tol, max_points).free
 
@@ -411,7 +423,7 @@ def _force_parts(
               - pi^2 (kT)^4 bc/45 + pi (kT)^2 / 12
     """
     if tp.temperature == 0.0:
-        return (e0_force_x(geom, field, tol), 0.0, 0.0, 0.0, 0.0)
+        return (e0_force_x(geom, field, tol, max_points), 0.0, 0.0, 0.0, 0.0)
     return _row(geom, field, tp, tol, max_points).force_parts
 
 

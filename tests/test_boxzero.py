@@ -166,6 +166,21 @@ class TestLatticeR:
         with pytest.raises(ValueError, match="tol"):
             lattice_r(1.0, 2.0, tol)
 
+    @pytest.mark.parametrize("z1, z2", [(1.0, 1.0), (0.5, 2.0), (0.7, 0.7), (3.0, 0.2)])
+    def test_within_tol_of_the_oracle(self, z1, z2):
+        oracle = validate._oracle_r(z1, z2, 60)
+        for tol in (1e-4, 1e-10, 1e-14):
+            assert lattice_r(z1, z2, tol) == pytest.approx(oracle, rel=tol, abs=0)
+
+    @pytest.mark.parametrize("z, most", [(1.0, 100), (0.1, 6000)])
+    def test_cut_follows_the_decay_of_the_terms(self, z, most):
+        # the integral-test bound decays like exp(-2 pi rho), as the terms
+        # do; a counting bound decaying like exp(-pi rho) needed 144 and
+        # 10816 points of the bounding box
+        with pytest.raises(ConvergenceError, match="needs") as info:
+            lattice_r(z, z, max_terms=1)
+        assert int(str(info.value).split("needs ")[1].split()[0]) <= most
+
 
 class TestZeroTemperatureEnergies:
     def test_scalar_cube(self):
@@ -226,6 +241,15 @@ class TestZeroTemperatureEnergies:
         # no crossing around a = 2.94; the energy is smooth and negative there
         vals = [em(a) for a in np.linspace(2.8, 3.1, 7)]
         assert all(v < -0.02 for v in vals)
+
+
+class TestBudget:
+    @pytest.mark.parametrize("fn", [e0, e0_force_x])
+    def test_budget_bounds_the_g_and_r_passes(self, fn):
+        g = BoxGeometry(1.0, 2.0, 3.0)
+        with pytest.raises(ConvergenceError, match="lattice_r"):
+            fn(g, FieldKind.ELECTROMAGNETIC, max_terms=10)
+        assert fn(g, FieldKind.ELECTROMAGNETIC, max_terms=1000) == fn(g, FieldKind.ELECTROMAGNETIC)
 
 
 class TestSortedEvaluation:

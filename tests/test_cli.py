@@ -391,6 +391,21 @@ class TestExitCodes:
         assert out == ""
 
 
+class TestBudget:
+    @pytest.mark.parametrize("argv", [
+        ["e0", "--field", "em", "--a", "1", "--b", "2", "--c", "3"],
+        ["force", "--field", "scalar", "--a", "2", "--b", "2", "--c", "2", "--temp", "0"],
+        ["thermo", "--field", "em", "--a", "2", "--b", "2", "--c", "2", "--temp", "50"],
+    ])
+    def test_tiny_budget_exits_3_and_prints_nothing(self, argv):
+        # --max-shell bounds E0's G and R passes too, not only the mode sums
+        status, out, err = run_cli(argv + ["--max-shell", "5"])
+        assert status == 3
+        assert out == ""
+        assert "convergence error" in err
+        assert run_cli(argv)[0] == 0
+
+
 class TestTolerance:
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10", "abc", "0.5"])
     def test_bad_tol_is_usage_error(self, tol, capsys):

@@ -9,6 +9,8 @@ from casimirbox import _modesum, thermal, validate
 from casimirbox.boxzero import BoxGeometry, FieldKind, e0, e0_force_x
 from casimirbox.errors import ConvergenceError
 from casimirbox.specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
+
+EPS = np.finfo(float).eps
 from casimirbox.thermal import (
     EnergyBreakdown,
     ThermalPoint,
@@ -30,6 +32,10 @@ SCALAR = FieldKind.SCALAR_DIRICHLET
 EM = FieldKind.ELECTROMAGNETIC
 
 CUBE_2UM = BoxGeometry(2e-6, 2e-6, 2e-6)
+#: the benchmark's temperatures up to 300 K (at 500 K the bar's two pair
+#: lattices, 33 slabs of one to three points, already cost less in the dual
+#: form)
+THERMO_TEMPS_LOW = (10.0, 20.0, 50.0, 100.0, 200.0, 300.0)
 TP300 = ThermalPoint(300.0)
 
 # pinned by the direct compensated sums (data/fixtures.txt)
@@ -197,19 +203,24 @@ def long_double_terms(kernel, n, r):
 
 
 def integral_test_bound(kernel, betas, radius):
-    """(pi/2) A Gamma(d + k, R - r1) / prod beta, with mpmath's Gamma(s, x)."""
+    """(pi/2) A [R^k e^-R (R^d - (R - r1)^d)/d + Gamma(d + k, R)] / prod beta,
+    with mpmath's Gamma(s, x)."""
     import mpmath
 
     k, s = {"log": (0, 0), "energy": (1, 0), "force": (1, 2)}[kernel]
+    d = len(betas)
     r1 = mpmath.sqrt(sum(mpmath.mpf(b) ** 2 for b in betas))
+    big = mpmath.mpf(radius)
     a = mpmath.mpf(betas[0]) ** -s / (1 - mpmath.exp(-r1))
-    bound = mpmath.pi / 2 * a * mpmath.gammainc(len(betas) + k, radius - r1) / mpmath.fprod(betas)
+    shell = big**k * mpmath.exp(-big) * (big**d - max(big - r1, 0) ** d) / d
+    bound = mpmath.pi / 2 * a * (shell + mpmath.gammainc(d + k, big)) / mpmath.fprod(betas)
     return np.longdouble(mpmath.nstr(bound, 25))
 
 
 class TestCutoffBound:
-    """The lattice points beyond the cutoff radius sum to at most the
-    integral-test bound, and that bound meets tol times the first term."""
+    """In the direct form, the lattice points beyond the cutoff radius sum to
+    at most the integral-test bound, and that bound meets tol times the
+    first term."""
 
     EXTRA = 15.0  # the brute-force tail stops at R + EXTRA
 
@@ -217,7 +228,7 @@ class TestCutoffBound:
         betas = tuple(betas)
         r1 = math.sqrt(sum(b * b for b in betas))
         assume(r1 <= 745.0)
-        res = _modesum.lattice_sums(betas, tol, kernels=(kernel,))
+        res = _modesum._direct_sums(betas, tol, kernels=(kernel,))
         radius = res.radius
         # a first term that underflows to 0 is summed as 0, with no cutoff
         assume(radius > r1)
@@ -267,6 +278,126 @@ class TestCutoffBound:
     def test_subnormal_first_terms(self, kernel, betas, tol):
         # near r1 = 745 the first term, and tol times it, are subnormal
         self.check(kernel, betas, tol)
+
+
+class TestDualForm:
+    """The Poisson-resummed dual form sums the same lattices as the direct
+    form: the two agree to within their returned bounds plus the roundoff
+    of each, a few ulps of every term (exp, log1p, and K_0, K_1 within
+    2e-15) or 4 eps sum |terms|."""
+
+    KERNELS = ("log", "energy", "force")
+    BOXES_UM = {"cube": (2.0, 2.0, 2.0), "slab": (1.0, 10.0, 10.0), "bar": (10.0, 1.0, 1.0)}
+
+    def check(self, betas, tol, tighten=1.0):
+        direct = _modesum._direct_sums(betas, tol, kernels=self.KERNELS, tighten=tighten)
+        dual = _modesum._dual_sums(betas, tol, kernels=self.KERNELS, tighten=tighten)
+        assert (direct.form, dual.form) == ("direct", "dual")
+        for name in self.KERNELS:
+            allowed = (direct.bounds[name] + dual.bounds[name]
+                       + 4.0 * EPS * (direct.scale[name] + dual.scale[name]))
+            assert abs(direct.sums[name] - dual.sums[name]) <= allowed
+        return dual
+
+    @settings(max_examples=25, deadline=None)
+    @given(betas=st.lists(st.floats(min_value=0.3, max_value=4.0), min_size=3, max_size=3),
+           tol=st.floats(min_value=1e-12, max_value=1e-4))
+    def test_triple_lattices(self, betas, tol):
+        self.check(betas, tol)
+
+    @settings(max_examples=25, deadline=None)
+    @given(betas=st.lists(st.floats(min_value=0.1, max_value=6.0), min_size=2, max_size=2),
+           tol=st.floats(min_value=1e-12, max_value=1e-3))
+    def test_pair_lattices(self, betas, tol):
+        self.check(betas, tol)
+
+    @pytest.mark.parametrize("temperature", [3000.0, 5000.0, 10000.0])
+    @pytest.mark.parametrize("box", list(BOXES_UM))
+    @pytest.mark.parametrize("field", [SCALAR, EM])
+    def test_benchmark_boxes(self, field, box, temperature):
+        g = BoxGeometry(*(s * 1e-6 for s in self.BOXES_UM[box]))
+        for _, lattice, _ in thermal._lattices(field, ThermalPoint(temperature).reduced(g)):
+            self.check(lattice, 1e-10)
+
+    def test_tighten_cuts_every_bound(self):
+        betas = (0.72, 0.5, 0.3)
+        loose = self.check(betas, 1e-8)
+        tight = self.check(betas, 1e-8, tighten=50.0)
+        for name in self.KERNELS:
+            assert tight.bounds[name] <= loose.bounds[name] / 50.0
+
+    def test_low_temperature_lattices_sum_directly(self):
+        states = [(sides, t) for sides in self.BOXES_UM.values() for t in THERMO_TEMPS_LOW]
+        # the command-line calls of the benchmark: the 2 um cube up to 600 K
+        states += [((2.0, 2.0, 2.0), t) for t in np.linspace(25.0, 600.0, 24)]
+        for sides, temperature in states:
+            betas = ThermalPoint(temperature).reduced(BoxGeometry(*(s * 1e-6 for s in sides)))
+            for _, lattice, _ in thermal._lattices(EM, betas):
+                assert _modesum.lattice_sums(lattice, 1e-10).form == "direct"
+
+    def test_hot_slab_sums_in_the_dual_form(self):
+        betas = ThermalPoint(10000.0).reduced(BoxGeometry(1e-6, 10e-6, 10e-6))
+        res = _modesum.lattice_sums(betas, 1e-10)
+        assert res.form == "dual"
+        # about 700 dual terms stand for the direct form's 1e7 lattice points
+        match = r"needs about \S+ lattice points, budget 300$"
+        with pytest.raises(ConvergenceError, match=match):
+            _modesum.lattice_sums(betas, 1e-10, max_points=300)
+
+    def test_huge_lattice_raises_at_once(self):
+        # a 1 cm cube at 10 kK: 2e5 dual rows, past the dual form's cap, and
+        # 1e16 direct points, past the budget
+        with pytest.raises(ConvergenceError, match="lattice points"):
+            _modesum.lattice_sums((7.2e-5, 7.2e-5, 7.2e-5), 1e-10)
+
+    def test_budget_below_the_direct_count_takes_the_dual_form(self):
+        # the 2 um cube at 5 kK: about 8e4 direct points, 7e3 dual terms
+        betas = ThermalPoint(5000.0).reduced(CUBE_2UM)
+        assert _modesum.lattice_sums(betas, 1e-10).form == "direct"
+        assert _modesum.lattice_sums(betas, 1e-10, max_points=20_000).form == "dual"
+
+    @pytest.mark.parametrize("sides_um", [(1.0, 10.0, 10.0), (2.0, 2.0, 2.0)])
+    def test_direct_cut_is_anchored_at_the_first_point(self, sides_um):
+        # at 10 K the first point's radius r1 is 727 (slab) and 623 (cube);
+        # the cut once sat near 2 r1 + 23
+        betas = ThermalPoint(10.0).reduced(BoxGeometry(*(s * 1e-6 for s in sides_um)))
+        res = _modesum.lattice_sums(betas, 1e-10)
+        assert res.radius - math.hypot(*betas) < 30.0
+
+
+class TestClassicalLimit:
+    """The paper's classical limit at high temperature: for the 1 um cube
+    F = kT (c0 + c1 ln(kT a)) up to terms of order exp(-2 pi / t), with
+    c1 = -zeta(0) of the field's modes and c0 measured at tol 1e-12."""
+
+    CUBE = BoxGeometry(1e-6, 1e-6, 1e-6)
+    LAW = {SCALAR: (0.125, 0.19353203225868), EM: (-0.5, -0.52830442627597)}
+
+    def c0(self, field, tp):
+        c1 = self.LAW[field][0]
+        return free_energy(self.CUBE, field, tp).total / tp.kt - c1 * math.log(tp.kt * 1e-6)
+
+    @pytest.mark.parametrize("field", [SCALAR, EM])
+    def test_free_energy_follows_the_law(self, field):
+        values = [self.c0(field, ThermalPoint(HBAR_C / (2e-6 * K_BOLTZMANN * t)))
+                  for t in (0.05, 0.0625, 0.08, 0.1)]
+        assert max(values) - min(values) <= 1e-9
+        assert values == pytest.approx([self.LAW[field][1]] * 4, rel=0, abs=1e-11)
+
+    @pytest.mark.parametrize("field", [SCALAR, EM])
+    def test_row_at_160_kilokelvin(self, field):
+        # t = 0.0072: the direct form would need 4e8 lattice points
+        tp = ThermalPoint(160000.0)
+        c1, c0 = self.LAW[field]
+        log_kta = math.log(tp.kt * 1e-6)
+        f_kt = free_energy(self.CUBE, field, tp).total / tp.kt
+        assert f_kt == pytest.approx(c0 + c1 * log_kta, rel=1e-10, abs=0)
+        # U = -c1 kT and S = -(c0 + c1 + c1 ln(kT a)); both cancel their
+        # pieces by 5e5, so roundoff leaves about 1e-10
+        assert internal_energy(self.CUBE, field, tp) / tp.kt == pytest.approx(-c1, abs=1e-9)
+        assert entropy(self.CUBE, field, tp) == pytest.approx(-(c0 + c1 + c1 * log_kta),
+                                                              abs=1e-9)
+        assert math.isfinite(force_x(self.CUBE, field, tp))
 
 
 class TestBlackbody:
