@@ -107,15 +107,15 @@ class LatticeSums(NamedTuple):
 
     `radius` is the cut on the exponent of the terms kept (r in the direct
     form, u = A q in the dual form), `form` names the form that ran, and
-    `scale` is the sum of |term| per kernel: a few eps times it bounds the
-    roundoff of the sum.
+    `scale` is the sum of |term| per kernel, the size on which the roundoff
+    of the sum rests: the dual form's terms have both signs.
     """
 
     sums: dict
     bounds: dict
     radius: float
-    form: str = "direct"
-    scale: dict | None = None
+    form: str
+    scale: dict
 
 
 def _slab_sums(kernels, n: int, r: np.ndarray) -> list[float]:

@@ -314,8 +314,7 @@ def _e0_gradient(sides, field: FieldKind, tol: float, max_terms: int = DEFAULT_M
     return energy, (-math.fsum([energy, b * e_b, c * e_c]) / a, e_b, e_c)
 
 
-def e0_scalar(geom: BoxGeometry, tol: float = DEFAULT_TOL,
-              max_terms: int = DEFAULT_MAX_TERMS) -> float:
+def e0_scalar(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
     """Renormalized zero-temperature energy of a Dirichlet scalar in the box.
 
     E0 = -pi^2 bc/(1440 a^3) + zeta(3)(b+c)/(32 pi a^2) - pi/(96 a)
@@ -324,11 +323,10 @@ def e0_scalar(geom: BoxGeometry, tol: float = DEFAULT_TOL,
     Evaluated in the slot order given.  With a the shortest side every
     G and R argument is at least 1; `e0` arranges that.
     """
-    return _e0_gradient(geom.sides, FieldKind.SCALAR_DIRICHLET, tol, max_terms)[0]
+    return _e0_gradient(geom.sides, FieldKind.SCALAR_DIRICHLET, tol)[0]
 
 
-def e0_em(geom: BoxGeometry, tol: float = DEFAULT_TOL,
-          max_terms: int = DEFAULT_MAX_TERMS) -> float:
+def e0_em(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
     """Renormalized zero-temperature electromagnetic energy of the box.
 
     E0 = -pi^2 bc/(720 a^3) - zeta(3) c/(16 pi b^2) + (pi/48)(1/a + 1/b)
@@ -339,7 +337,7 @@ def e0_em(geom: BoxGeometry, tol: float = DEFAULT_TOL,
     only with a <= b <= c is every G and R argument at least 1, and the
     sums fast and accurate.  `e0` sorts the sides that way.
     """
-    return _e0_gradient(geom.sides, FieldKind.ELECTROMAGNETIC, tol, max_terms)[0]
+    return _e0_gradient(geom.sides, FieldKind.ELECTROMAGNETIC, tol)[0]
 
 
 def e0(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL,

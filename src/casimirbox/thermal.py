@@ -27,16 +27,26 @@ the field's mode lattices once for the log, energy and force kernels, in
 whichever of `_modesum`'s two exact forms costs less: the direct lattice
 sum, or its Poisson-resummed dual at high temperature, where the direct
 sum's cost grows like t^-3 and the dual's barely grows.  Both return tail
-bounds, so the check below does not depend on the form.  `tol` bounds each
-printed total: the truncation error of the mode series in F, U, S kT and
-the force, bounded by the tail bounds the sums return, is at most tol times
-that total, or eps times the size of its pieces where the total cancels
-below that (at high T the mode series cancel against the subtractions by up
-to (kT a)^3).  A row that misses is summed once more with every tail bound
-cut by the worst ratio.  `thermal_raw` sums its series to tol alone.  E0's
-own series error is not in the check: its G pass is summed to tol, its R
-pass to double precision.  `max_points` caps every sum of a row, the
-G and R passes of E0 included.
+bounds and the sum of |term| of each series, so the check below does not
+depend on the form.  Each printed total of F, U, S kT and the force is a
+sum of pieces, among them the mode series, and carries two errors:
+
+* roundoff, at most the total's floor, 8 eps times the sizes of its pieces
+  plus the sum of |term| of its series.  At high T the series cancel
+  against the subtractions by up to (kT a)^3, and the floor can exceed
+  tol times the total: for the 1 um cube at 160 kK (kT a = 70) it is
+  1.2e-9 kT in the electromagnetic U = kT/2.  The largest roundoff seen
+  was 3.2 eps times those sizes, over 104 rows of four boxes, both
+  fields, kT a = 10 to 100, against the classical law U = -c1 kT;
+* truncation, bounded by the tail bounds the sums return, and at most
+  tol times the total, or its floor where that is larger.  A row that
+  misses is summed once more with every tail bound cut by the worst ratio.
+
+So a total is within max(tol |total|, floor) + floor of its exact value;
+below the floor's reach, within tol.  `thermal_raw` sums its series to
+tol alone.  E0's own series error is not in the check: its G pass is
+summed to tol, its R pass to double precision.  `max_points` caps every
+sum of a row, the G and R passes of E0 included.
 
 Caches.  Two one-entry caches, neither a setting: the last row, keyed on
 the exact (sides, field, T, tol, max_points), so F, the force, U and S
@@ -173,22 +183,24 @@ def _lattices(field: FieldKind, betas):
 def _mode_sums(
     field: FieldKind, betas, tol: float, max_points: int,
     kernels=("log", "energy", "force"), tighten: float = 1.0,
-) -> tuple[dict, dict]:
+) -> tuple[dict, dict, dict]:
     """Each kernel summed over the field's mode lattices with their
-    multiplicities, and the tail bounds summed the same way.
+    multiplicities, and the tail bounds and sums of |term| added the same way.
 
     Each lattice is enumerated once for all the kernels; the force kernel
     runs only on the lattices that contain the a axis.
     """
     sums: dict = {name: [] for name in kernels}
     bounds = dict.fromkeys(kernels, 0.0)
+    scales = dict.fromkeys(kernels, 0.0)
     for mult, lattice, has_a in _lattices(field, betas):
         names = kernels if has_a else tuple(k for k in kernels if k != "force")
         res = _modesum.lattice_sums(lattice, tol, max_points, names, tighten)
         for name in names:
             sums[name].append(mult * res.sums[name])
             bounds[name] += mult * res.bounds[name]
-    return {name: math.fsum(parts) for name, parts in sums.items()}, bounds
+            scales[name] += mult * res.scale[name]
+    return {name: math.fsum(parts) for name, parts in sums.items()}, bounds, scales
 
 
 def thermal_raw(
@@ -317,9 +329,11 @@ class _Row(NamedTuple):
     entropy: float
 
 
-#: Relative roundoff floor of the accuracy check: a total that cancels its
-#: pieces to below eps times their size cannot be printed to tol.
-_EPS = sys.float_info.epsilon
+#: Roundoff floor of a total, per unit of its pieces' sizes plus the sum of
+#: |term| of its mode series: each term and piece carries a few ulps of its
+#: own (exp, log1p, K_0, K_1, and kT^4 against the betas), which no sum can
+#: remove.  See the accuracy contract above for the largest seen.
+_ROUNDOFF = 8.0 * sys.float_info.epsilon
 
 #: One-entry cache of (key, row) for `_row`.
 _last_row = None
@@ -344,9 +358,9 @@ def _evaluate_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: fl
     truncation error is at most its prefactor times the multiplicity-
     weighted tail bounds (kT for F and U, kT for both series of S kT,
     pi^2 beta / a^3 for the force).  That error must be at most
-    tol |T_q|, or eps times the sum of the pieces' sizes where the total
-    cancels below it.  If any total misses, the lattices are summed once
-    more with every tail bound cut by the worst ratio.
+    tol |T_q|, or the total's roundoff floor where that is larger.  If any
+    total misses, the lattices are summed once more with every tail bound
+    cut by the worst ratio.
     """
     kt = tp.kt
     bb, a1, a2 = _subtraction_terms(geom, field, tp)
@@ -355,29 +369,32 @@ def _evaluate_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: fl
     betas = tp.reduced(geom)
     tighten = 1.0
     while True:
-        sums, bounds = _mode_sums(field, betas, tol, max_points, tighten=tighten)
+        sums, bounds, scales = _mode_sums(field, betas, tol, max_points, tighten=tighten)
         # after the mode sums, so a budget too small for both names them;
         # memoized, so the re-sum does not repeat it
         e0_ren, f0 = _zero_t(geom, field, tol, max_points)
         raw, modes_u, modes_f = kt * sums["log"], kt * sums["energy"], force_scale * sums["force"]
-        # (pieces of a total, bound on its truncation error): F, U, S kT, force
+        # (pieces of a total, sum of |term| of its mode series, bound on
+        # their truncation error): F, U, S kT, force
         checks = [
-            ([e0_ren, raw, bb, a1, a2], kt * bounds["log"]),
-            ([e0_ren, modes_u, -3.0 * bb, -2.0 * a1, -a2], kt * bounds["energy"]),
+            ([e0_ren, raw, bb, a1, a2], kt * scales["log"], kt * bounds["log"]),
+            ([e0_ren, modes_u, -3.0 * bb, -2.0 * a1, -a2], kt * scales["energy"],
+             kt * bounds["energy"]),
             ([modes_u, -raw, -4.0 * bb, -3.0 * a1, -2.0 * a2],
-             kt * (bounds["log"] + bounds["energy"])),
-            ([f0, modes_f, *force_terms], force_scale * bounds["force"]),
+             kt * (scales["log"] + scales["energy"]), kt * (bounds["log"] + bounds["energy"])),
+            ([f0, modes_f, *force_terms], force_scale * scales["force"],
+             force_scale * bounds["force"]),
         ]
-        worst = max(
-            err / max(tol * abs(math.fsum(pieces)), _EPS * math.fsum(map(abs, pieces)))
-            for pieces, err in checks
-        )
+        floors = tuple(_ROUNDOFF * (math.fsum(map(abs, pieces)) + size)
+                       for pieces, size, _ in checks)
+        worst = max(err / max(tol * abs(math.fsum(pieces)), floor)
+                    for (pieces, _, err), floor in zip(checks, floors))
         if worst <= 1.0 or tighten > 1.0:
             break
         # a little beyond the worst ratio: re-summed, the totals move by up
         # to their errors
         tighten = 1.01 * worst
-    free, internal, entropy_kt = (math.fsum(pieces) for pieces, _ in checks[:3])
+    free, internal, entropy_kt = (math.fsum(pieces) for pieces, _, _ in checks[:3])
     return _Row(
         EnergyBreakdown(e0_ren, raw, bb, a1, a2, free),
         (f0, modes_f, *force_terms),

@@ -461,7 +461,7 @@ def _fixture_actual(fix: Fixture) -> float:
     if fix.kind in ("X", "Y"):
         field = FieldKind.SCALAR_DIRICHLET if fix.kind == "X" else FieldKind.ELECTROMAGNETIC
         betas = (p["beta_a"], p["beta_b"], p["beta_c"])
-        sums, _ = thermal._mode_sums(field, betas, 1e-12, _modesum.DEFAULT_MAX_POINTS, ("log",))
+        sums = thermal._mode_sums(field, betas, 1e-12, _modesum.DEFAULT_MAX_POINTS, ("log",))[0]
         return sums["log"]
     if fix.kind in ("E0S", "E0EM"):
         field = FieldKind.SCALAR_DIRICHLET if fix.kind == "E0S" else FieldKind.ELECTROMAGNETIC
