@@ -6,15 +6,13 @@ from .boxzero import (
     BoxGeometry,
     FieldKind,
     e0,
-    e0_em,
     e0_force_x,
-    e0_scalar,
     lattice_g,
     lattice_r,
 )
 from .errors import CasimirBoxError, ConvergenceError, DerivativeInstabilityError
 from .plates import PlatesConfig, plates_free_energy, plates_pressure
-from .specfun import CONSTANTS, bessel_k, exp_tail_bound
+from .specfun import bessel_k
 from .thermal import (
     EnergyBreakdown,
     SubtractionCoefficients,
@@ -43,14 +41,10 @@ __all__ = [
     "CasimirBoxError",
     "ConvergenceError",
     "DerivativeInstabilityError",
-    "CONSTANTS",
     "bessel_k",
-    "exp_tail_bound",
     "lattice_g",
     "lattice_r",
     "e0",
-    "e0_scalar",
-    "e0_em",
     "e0_force_x",
     "thermal_raw",
     "blackbody_density",

@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import budget_error, check_tol
+from .errors import budget_error, check_budget, check_tol
 
 __all__ = ["LatticeSums", "lattice_sums", "log_sum", "force_sum", "energy_sum",
            "DEFAULT_MAX_POINTS"]
@@ -254,8 +254,9 @@ def _direct_eval(betas, kernels, plan: _DirectPlan) -> LatticeSums:
 # entry points
 
 
-def _checked(betas, tol: float, kernels, tighten: float):
+def _checked(betas, tol: float, max_points: int, kernels, tighten: float):
     check_tol(tol)
+    check_budget(max_points)
     kernels = tuple(kernels)
     betas = tuple(float(b) for b in betas)
     if any(not (math.isfinite(b) and b > 0.0) for b in betas):
@@ -293,7 +294,7 @@ def _zeros(betas, kernels) -> LatticeSums:
 def _direct_sums(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS,
                  kernels=("log", "energy", "force"), tighten: float = 1.0) -> LatticeSums:
     """`lattice_sums` in the direct form."""
-    betas, kernels = _checked(betas, tol, kernels, tighten)
+    betas, kernels = _checked(betas, tol, max_points, kernels, tighten)
     targets = _targets(betas, tol, kernels)
     if not targets:
         return _zeros(betas, kernels)
@@ -305,7 +306,7 @@ def _direct_sums(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS,
 def _dual_sums(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS,
                kernels=("log", "energy", "force"), tighten: float = 1.0) -> LatticeSums:
     """`lattice_sums` in the dual form."""
-    betas, kernels = _checked(betas, tol, kernels, tighten)
+    betas, kernels = _checked(betas, tol, max_points, kernels, tighten)
     targets = _targets(betas, tol, kernels)
     if not targets:
         return _zeros(betas, kernels)
@@ -326,7 +327,7 @@ def lattice_sums(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS,
     The bounds reached are returned with the sums.  `max_points` caps the
     lattice points (direct) or terms (dual) of the form that runs.
     """
-    betas, kernels = _checked(betas, tol, kernels, tighten)
+    betas, kernels = _checked(betas, tol, max_points, kernels, tighten)
     targets = _targets(betas, tol, kernels)
     if not targets:
         return _zeros(betas, kernels)

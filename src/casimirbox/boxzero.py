@@ -24,7 +24,6 @@ R converge in a handful of terms only when their arguments are at least
 1, and slowly, losing digits, below that.  `e0` therefore sorts the sides
 ascending before evaluating, so every G and R argument is at least 1 and
 the result does not depend on the order the sides were given in.
-`e0_scalar` and `e0_em` evaluate in the slot order they are given.
 
 Each sum is one a-priori pass that also returns its derivatives from the
 same lattice points.  G's points n l <= M are cut once, M solved from a
@@ -51,7 +50,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import budget_error, check_tol
+from .errors import DEFAULT_TOL, budget_error, check_budget, check_tol
 from .specfun import PI, ZETA3, bessel_k
 
 __all__ = [
@@ -61,16 +60,10 @@ __all__ = [
     "DEFAULT_MAX_TERMS",
     "lattice_g",
     "lattice_r",
-    "e0_scalar",
-    "e0_em",
     "e0",
     "e0_force_x",
     "e0_and_force_x",
 ]
-
-#: Default relative tolerance for the lattice sums; three orders of margin
-#: over the 1e-8 oracle-equivalence target.
-DEFAULT_TOL = 1e-10
 
 #: Default cap on the number of lattice points a single sum may visit.
 DEFAULT_MAX_TERMS = 5_000_000
@@ -143,6 +136,7 @@ def _g_pass(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
     if not (math.isfinite(z) and z > 0.0):
         raise ValueError(f"lattice_g requires z > 0, got {z!r}")
     check_tol(tol)
+    check_budget(max_terms)
     w = 2.0 * PI * z
     if math.exp(-w) == 0.0:
         # every term underflows
@@ -203,6 +197,7 @@ def _r_pass(z1: float, z2: float, tol: float = DEFAULT_TOL, max_terms: int = DEF
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"lattice_r requires {name} > 0, got {v!r}")
     check_tol(tol)
+    check_budget(max_terms)
     rho_min = min(z1, z2)
     y_min = 2.0 * PI * rho_min
     x_min = math.exp(-y_min)
@@ -312,32 +307,6 @@ def _e0_gradient(sides, field: FieldKind, tol: float, max_terms: int = DEFAULT_M
     else:
         raise ValueError(f"unknown field kind {field!r}")
     return energy, (-math.fsum([energy, b * e_b, c * e_c]) / a, e_b, e_c)
-
-
-def e0_scalar(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
-    """Renormalized zero-temperature energy of a Dirichlet scalar in the box.
-
-    E0 = -pi^2 bc/(1440 a^3) + zeta(3)(b+c)/(32 pi a^2) - pi/(96 a)
-         - (pi/(2a))[G(b/a) + G(c/a)] - (1/a) R(b/a, c/a)
-
-    Evaluated in the slot order given.  With a the shortest side every
-    G and R argument is at least 1; `e0` arranges that.
-    """
-    return _e0_gradient(geom.sides, FieldKind.SCALAR_DIRICHLET, tol)[0]
-
-
-def e0_em(geom: BoxGeometry, tol: float = DEFAULT_TOL) -> float:
-    """Renormalized zero-temperature electromagnetic energy of the box.
-
-    E0 = -pi^2 bc/(720 a^3) - zeta(3) c/(16 pi b^2) + (pi/48)(1/a + 1/b)
-         + (pi/b) G(c/b) - (2/a) R(b/a, c/a)
-
-    Evaluated in the slot order given.  The sides enter asymmetrically term
-    by term; the total is invariant under permutations of (a, b, c), but
-    only with a <= b <= c is every G and R argument at least 1, and the
-    sums fast and accurate.  `e0` sorts the sides that way.
-    """
-    return _e0_gradient(geom.sides, FieldKind.ELECTROMAGNETIC, tol)[0]
 
 
 def e0(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL,

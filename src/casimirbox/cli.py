@@ -25,7 +25,8 @@ import numpy as np
 
 from . import thermal
 from .boxzero import BoxGeometry, FieldKind
-from .errors import ConvergenceError, DerivativeInstabilityError, check_tol
+from .errors import (DEFAULT_TOL, ConvergenceError, DerivativeInstabilityError, check_budget,
+                     check_tol)
 from .plates import PlatesConfig, plates_free_energy, plates_pressure
 from .specfun import HBAR_C
 from .thermal import ThermalPoint
@@ -176,24 +177,32 @@ def _add_box_args(p: argparse.ArgumentParser, with_temp: bool = True):
     _add_tol_args(p)
 
 
-def _tol(text: str) -> float:
-    try:
-        value = float(text)
-        check_tol(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
+def _checked_arg(parse, check):
+    """argparse type: parse the text, then check the value; a ValueError
+    from either is a usage error (exit 2)."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return convert
 
 
-def _add_tol_args(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=_tol, default=1e-10, help="relative series tolerance")
-    p.add_argument(
-        "--max-shell",
-        dest="max_shell",
-        type=int,
-        default=1_000_000,
-        help="maximum lattice points (or dual-form terms) per sum, E0's included",
-    )
+def _add_tol_args(p: argparse.ArgumentParser, with_budget: bool = True):
+    p.add_argument("--tol", type=_checked_arg(float, check_tol), default=DEFAULT_TOL,
+                   help="relative series tolerance")
+    if with_budget:
+        p.add_argument(
+            "--max-shell",
+            dest="max_shell",
+            type=_checked_arg(int, check_budget),
+            default=1_000_000,
+            help="maximum lattice points (or dual-form terms) per sum, E0's included",
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -224,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, type=float, help="separation [um]")
     p.add_argument("--temp", required=True, type=float, help="temperature [K]")
     p.add_argument("--pressure", action="store_true", help="add pressure columns")
-    _add_tol_args(p)
+    # the plates series keep their own term cap; no lattice budget reaches them
+    _add_tol_args(p, with_budget=False)
     p.set_defaults(func=_cmd_plates)
 
     p = sub.add_parser("sweep", help="sweep one variable, CSV row per grid point")

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the tolerance check."""
+"""Exception types shared across the package, the default tolerance, and
+the checks of a tolerance and a term budget."""
 
 from __future__ import annotations
 
@@ -50,6 +51,9 @@ def budget_error(series: str, tol: float, need: str, budget: int) -> Convergence
     )
 
 
+#: Default relative tolerance of every series, the CLI's --tol included.
+DEFAULT_TOL = 1e-10
+
 #: Largest accepted relative tolerance; a looser one would stop a series
 #: while its tail still changes the leading digits.
 MAX_TOL = 1e-3
@@ -63,3 +67,13 @@ def check_tol(tol: float) -> None:
     """
     if not (math.isfinite(tol) and 0.0 < tol <= MAX_TOL):
         raise ValueError(f"tol must be a finite number in (0, {MAX_TOL:g}], got {tol!r}")
+
+
+def check_budget(budget: int) -> None:
+    """Raise ValueError unless budget is an int >= 1 (a bool is not).
+
+    A NaN budget fails every `points > budget` comparison, so a series
+    given one would run unbounded.
+    """
+    if type(budget) is not int or budget < 1:
+        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DerivativeInstabilityError, check_tol
+from .errors import DEFAULT_TOL, ConvergenceError, DerivativeInstabilityError, check_tol
 from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3, richardson_derivative
 
 __all__ = ["PlatesConfig", "plates_free_energy", "plates_pressure", "T_SWITCH"]
@@ -41,7 +41,6 @@ __all__ = ["PlatesConfig", "plates_free_energy", "plates_pressure", "T_SWITCH"]
 #: Representation switch; both series converge in well under 1e4 terms here.
 T_SWITCH = 0.5
 
-_DEFAULT_TOL = 1e-10
 _MAX_TERMS = 1_000_000
 _FD_STEP = 1e-4
 _FD_GATE = 1e-5
@@ -153,7 +152,7 @@ def _free_energy_dual(cfg: PlatesConfig, tol: float) -> float:
     return math.fsum(base + lsum)
 
 
-def plates_free_energy(cfg: PlatesConfig, tol: float = _DEFAULT_TOL) -> float:
+def plates_free_energy(cfg: PlatesConfig, tol: float = DEFAULT_TOL) -> float:
     """Free energy per unit area [1/m^3]; -pi^2/(720 a^3) exactly at T = 0."""
     check_tol(tol)
     if cfg.temperature == 0.0:
@@ -163,7 +162,7 @@ def plates_free_energy(cfg: PlatesConfig, tol: float = _DEFAULT_TOL) -> float:
     return _free_energy_dual(cfg, tol)
 
 
-def plates_pressure(cfg: PlatesConfig, tol: float = _DEFAULT_TOL) -> float:
+def plates_pressure(cfg: PlatesConfig, tol: float = DEFAULT_TOL) -> float:
     """Casimir pressure -dF/da [1/m^4], central differences + Richardson."""
     a = cfg.separation
 

@@ -37,13 +37,10 @@ exp(-x) underflows the double range, all four orders return exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Constants",
-    "CONSTANTS",
     "ZETA3",
     "PI",
     "HBAR",
@@ -51,7 +48,6 @@ __all__ = [
     "HBAR_C",
     "K_BOLTZMANN",
     "bessel_k",
-    "exp_tail_bound",
     "richardson_derivative",
 ]
 
@@ -70,19 +66,6 @@ HBAR_C = HBAR * C_LIGHT
 
 #: Boltzmann constant [J/K], exact in the 2019 SI.
 K_BOLTZMANN = 1.380649e-23
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Pinned constants; every other module imports these, never redefines."""
-
-    zeta3: float = ZETA3
-    pi: float = PI
-    hbar_c: float = HBAR_C
-    k_boltzmann: float = K_BOLTZMANN
-
-
-CONSTANTS = Constants()
 
 _SUPPORTED_ORDERS = (0.0, 0.5, 1.0, 1.5)
 
@@ -192,21 +175,6 @@ def bessel_k(order: float, x):
         else:
             out = _k_integer(int(order), xa, lowest)
     return float(out) if scalar else out
-
-
-def exp_tail_bound(prefactor: float, rate: float, start: int) -> float:
-    """Upper bound on sum_{n >= start} prefactor * exp(-rate * n).
-
-    The geometric closed form prefactor * exp(-rate*start) / (1 - exp(-rate)).
-    Used to justify every truncation of an exponentially decaying series.
-    """
-    if rate <= 0.0:
-        raise ValueError("exp_tail_bound requires rate > 0")
-    if prefactor <= 0.0:
-        raise ValueError("exp_tail_bound requires prefactor > 0")
-    if start < 0:
-        raise ValueError("exp_tail_bound requires start >= 0")
-    return prefactor * math.exp(-rate * start) / (1.0 - math.exp(-rate))
 
 
 def richardson_derivative(func, x: float, h: float) -> tuple[float, float]:

@@ -64,7 +64,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _modesum
-from .boxzero import BoxGeometry, FieldKind, e0, e0_and_force_x, e0_force_x, DEFAULT_TOL
+from .boxzero import BoxGeometry, FieldKind, e0, e0_and_force_x, e0_force_x
+from .errors import DEFAULT_TOL
 from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
 
 __all__ = [
@@ -143,12 +144,6 @@ class EnergyBreakdown:
     alpha1_term: float
     alpha2_term: float
     total: float
-
-    @property
-    def fields_sum(self) -> float:
-        return math.fsum(
-            [self.e0_ren, self.thermal_raw, self.bb_term, self.alpha1_term, self.alpha2_term]
-        )
 
 
 def mode_frequency(n: int, l: int, p: int, geom: BoxGeometry) -> float:

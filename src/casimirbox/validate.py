@@ -262,6 +262,17 @@ class ThermoReport:
         return max(self.u_deviation, self.s_deviation)
 
 
+def _oracle_internal_energy(geom: BoxGeometry, field: FieldKind, temperature: float,
+                            h_rel: float) -> float:
+    """U = -T^2 d(F/T)/dT by Richardson finite differences of F/T in T."""
+
+    def f_over_t(t: float) -> float:
+        return thermal.free_energy(geom, field, ThermalPoint(t)).total / t
+
+    slope = richardson_derivative(f_over_t, temperature, h_rel * temperature)[0]
+    return -(temperature**2) * slope
+
+
 def oracle_thermo_consistency(
     geom: BoxGeometry, field: FieldKind, temperature: float, h_rel: float = 1e-4
 ) -> ThermoReport:
@@ -279,10 +290,8 @@ def oracle_thermo_consistency(
     u = thermal.internal_energy(geom, field, tp)
     s = thermal.entropy(geom, field, tp)
 
-    h = h_rel * temperature
-    d_f_over_t = richardson_derivative(lambda t: f_of_t(t) / t, temperature, h)[0]
-    u_fd = -(temperature**2) * d_f_over_t
-    df_dt = richardson_derivative(f_of_t, temperature, h)[0]
+    u_fd = _oracle_internal_energy(geom, field, temperature, h_rel)
+    df_dt = richardson_derivative(f_of_t, temperature, h_rel * temperature)[0]
     # -dF/dT is an entropy in 1/(m K); convert to k_B units via T/(kT)
     s_fd = -df_dt * temperature / tp.kt
     u_dev = abs(u - u_fd) / max(abs(u), abs(u_fd))
@@ -296,17 +305,6 @@ def oracle_thermo_consistency(
 def _beta_cube_2um_300k() -> float:
     """Reduced frequency pi beta/a for the a = 2 um cube at 300 K."""
     return PI / (2e-6 * K_BOLTZMANN * 300.0 / HBAR_C)
-
-
-def _oracle_internal_energy(field: FieldKind, a: float, temperature: float, h_rel: float) -> float:
-    """U by Richardson finite differences of the free energy in T."""
-    geom = BoxGeometry(a, a, a)
-
-    def f_over_t(t: float) -> float:
-        return thermal.free_energy(geom, field, ThermalPoint(t)).total / t
-
-    slope = richardson_derivative(f_over_t, temperature, h_rel * temperature)[0]
-    return -(temperature**2) * slope
 
 
 _FIXTURE_SPECS = [
@@ -371,9 +369,9 @@ def _eval_fixture(kind: str, params: dict, cutoff: int) -> float:
     if kind == "E0EM":
         return oracle_e0(FieldKind.ELECTROMAGNETIC, params["a"], params["b"], params["c"], cutoff)
     if kind == "U":
-        return _oracle_internal_energy(
-            _field_from_flag(params["field"]), params["a"], params["temperature"], params["h_rel"]
-        )
+        a = params["a"]
+        return _oracle_internal_energy(BoxGeometry(a, a, a), _field_from_flag(params["field"]),
+                                       params["temperature"], params["h_rel"])
     return oracle_lattice(kind, params, cutoff)
 
 
@@ -521,7 +519,7 @@ def run_checks(name_filter: str | None = None, fixtures_path=None) -> list[Check
 
     # paper-anchored electromagnetic cube energy (dimensionless a*E0)
     cube = BoxGeometry(1.0, 1.0, 1.0)
-    add("boxzero:em_cube_energy", 0.0055, lambda: (0.09166, boxzero.e0_em(cube)))
+    add("boxzero:em_cube_energy", 0.0055, lambda: (0.09166, boxzero.e0(cube, FieldKind.ELECTROMAGNETIC)))
 
     # blackbody internal-energy density, electromagnetic: pi^2 (kT)^4 / 15
     tp = ThermalPoint(300.0)

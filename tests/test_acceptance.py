@@ -34,7 +34,7 @@ import pytest
 
 from casimirbox import validate
 from casimirbox._modesum import log_sum
-from casimirbox.boxzero import BoxGeometry, FieldKind, e0, e0_em, e0_scalar
+from casimirbox.boxzero import BoxGeometry, FieldKind, e0
 from casimirbox.plates import PlatesConfig, plates_free_energy, plates_pressure
 from casimirbox.specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3, bessel_k
 from casimirbox.thermal import (
@@ -63,7 +63,7 @@ def _tp_for_akt(a: float, akt: float) -> ThermalPoint:
 
 def test_criterion_01_scalar_cube_zero_t_energy():
     start = time.perf_counter()
-    value = e0_scalar(BoxGeometry(1.0, 1.0, 1.0))
+    value = e0(BoxGeometry(1.0, 1.0, 1.0), SCALAR)
     elapsed = time.perf_counter() - start
     ok = abs(value - (-0.01573)) <= 1e-4 and elapsed < 1.0
     _report(1, ok, f"scalar cube a*E0 = {value:.6f}, target -0.01573 +/- 0.0001, {elapsed:.2f}s")
@@ -73,7 +73,7 @@ def test_criterion_01_scalar_cube_zero_t_energy():
 
 def test_criterion_02_em_cube_zero_t_energy():
     start = time.perf_counter()
-    value = e0_em(BoxGeometry(1.0, 1.0, 1.0))
+    value = e0(BoxGeometry(1.0, 1.0, 1.0), EM)
     elapsed = time.perf_counter() - start
     ok = abs(value - 0.09166) <= 5e-4 and elapsed < 1.0
     _report(2, ok, f"em cube a*E0 = {value:.6f}, target +0.09166 +/- 0.0005, {elapsed:.2f}s")
@@ -85,7 +85,7 @@ def test_criterion_03_em_zero_crossings():
     start = time.perf_counter()
 
     def em(a_um: float) -> float:
-        return e0_em(BoxGeometry(a_um, 10.0, 10.0))
+        return e0(BoxGeometry(a_um, 10.0, 10.0), EM)
 
     lo1, hi1 = em(4.05), em(4.11)
     lo2, hi2 = em(33.9), em(34.6)

@@ -11,9 +11,7 @@ from casimirbox.boxzero import (
     BoxGeometry,
     FieldKind,
     e0,
-    e0_em,
     e0_force_x,
-    e0_scalar,
     lattice_g,
     lattice_r,
 )
@@ -185,27 +183,29 @@ class TestLatticeR:
 class TestZeroTemperatureEnergies:
     def test_scalar_cube(self):
         cube = BoxGeometry(1.0, 1.0, 1.0)
-        assert e0_scalar(cube) == pytest.approx(E0_SCALAR_CUBE, rel=1e-8)
+        assert e0(cube, SCALAR) == pytest.approx(E0_SCALAR_CUBE, rel=1e-8)
 
     def test_em_cube_matches_published_value(self):
         cube = BoxGeometry(1.0, 1.0, 1.0)
-        val = e0_em(cube)
+        val = e0(cube, EM)
         assert val == pytest.approx(E0_EM_CUBE, rel=1e-8)
         assert val == pytest.approx(0.09166, abs=0.0005)
 
     def test_scalar_slab_oracle_value(self):
-        assert e0_scalar(BoxGeometry(1.0, 5.0, 5.0)) == pytest.approx(E0_SCALAR_1_5_5, rel=1e-8)
+        assert e0(BoxGeometry(1.0, 5.0, 5.0), SCALAR) == pytest.approx(E0_SCALAR_1_5_5, rel=1e-8)
 
     def test_scalar_b_c_exchange_symmetry(self):
-        g1 = BoxGeometry(1.0, 2.0, 3.0)
-        g2 = BoxGeometry(1.0, 3.0, 2.0)
-        assert e0_scalar(g1) == pytest.approx(e0_scalar(g2), rel=1e-12, abs=0)
+        # the closed form evaluated in the slots given, not sorted
+        def slotted(sides):
+            return boxzero._e0_gradient(sides, SCALAR, boxzero.DEFAULT_TOL)[0]
+
+        assert slotted((1.0, 2.0, 3.0)) == pytest.approx(slotted((1.0, 3.0, 2.0)), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("sides", [(1.0, 2.0, 3.0), (2.942, 10.0, 10.0)])
     def test_full_permutation_invariance(self, sides):
         # neither closed form is manifestly symmetric, but the value is
-        for field_fn in (e0_scalar, e0_em):
-            vals = [field_fn(BoxGeometry(*p), 1e-12) for p in permutations(sides)]
+        for field in (SCALAR, EM):
+            vals = [boxzero._e0_gradient(p, field, 1e-12)[0] for p in permutations(sides)]
             ref = vals[0]
             for v in vals[1:]:
                 assert v == pytest.approx(ref, rel=1e-8)
@@ -214,11 +214,11 @@ class TestZeroTemperatureEnergies:
         # negative for slabs and near-cubes; elongated boxes (one side more
         # than ~4x the others) turn positive, so those stay out of this set
         for sides in [(1, 1, 1), (1, 2, 5), (1, 10, 10), (0.1, 5, 5), (1, 2, 2), (1, 1, 3)]:
-            assert e0_scalar(BoxGeometry(*map(float, sides))) < 0.0
+            assert e0(BoxGeometry(*map(float, sides)), SCALAR) < 0.0
 
     def test_scaling_homogeneity_simple(self):
         g = BoxGeometry(1.0, 2.0, 4.0)
-        assert e0_scalar(g.scaled(2.0)) == pytest.approx(e0_scalar(g) / 2.0, rel=1e-10, abs=0)
+        assert e0(g.scaled(2.0), SCALAR) == pytest.approx(e0(g, SCALAR) / 2.0, rel=1e-10, abs=0)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -228,13 +228,13 @@ class TestZeroTemperatureEnergies:
     )
     def test_homogeneity_random_geometries(self, b, c, lam):
         g = BoxGeometry(1.0, b, c)
-        for fn in (e0_scalar, e0_em):
-            assert fn(g.scaled(lam)) == pytest.approx(fn(g) / lam, rel=1e-10, abs=0)
+        for field in (SCALAR, EM):
+            assert e0(g.scaled(lam), field) == pytest.approx(e0(g, field) / lam, rel=1e-10, abs=0)
 
     def test_em_zero_crossings(self):
         # b = c = 10: sign changes near a = 4.08 and a = 34.30
         def em(a):
-            return e0_em(BoxGeometry(a, 10.0, 10.0))
+            return e0(BoxGeometry(a, 10.0, 10.0), EM)
 
         assert em(4.0) < 0.0 < em(4.2)
         assert em(34.0) > 0.0 > em(34.6)
@@ -250,6 +250,16 @@ class TestBudget:
         with pytest.raises(ConvergenceError, match="lattice_r"):
             fn(g, FieldKind.ELECTROMAGNETIC, max_terms=10)
         assert fn(g, FieldKind.ELECTROMAGNETIC, max_terms=1000) == fn(g, FieldKind.ELECTROMAGNETIC)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 1e6, 0, -5, True])
+    def test_bad_budget_raises(self, budget):
+        # z = 200 underflows every G term, so lattice_g returns before its cut
+        for call in (lambda: lattice_g(1.0, max_terms=budget),
+                     lambda: lattice_g(200.0, max_terms=budget),
+                     lambda: lattice_r(1.0, 2.0, max_terms=budget),
+                     lambda: e0(BoxGeometry(1.0, 2.0, 3.0), EM, max_terms=budget)):
+            with pytest.raises(ValueError, match="budget"):
+                call()
 
 
 class TestSortedEvaluation:

@@ -405,6 +405,24 @@ class TestBudget:
         assert "convergence error" in err
         assert run_cli(argv)[0] == 0
 
+    @pytest.mark.parametrize("budget", ["0", "-5", "nan", "1.5"])
+    def test_bad_budget_is_usage_error(self, budget, capsys):
+        # a budget that is not an integer >= 1 is a usage error, not a convergence failure
+        status, out, _ = run_cli(["e0", "--field", "em", "--a", "1", "--b", "2", "--c", "3",
+                                  "--max-shell", budget])
+        assert status == 2
+        assert out == ""
+        assert "--max-shell" in capsys.readouterr().err  # argparse writes to sys.stderr
+
+    def test_plates_take_no_budget(self, capsys):
+        # the plates series keep their own term cap; no lattice budget reaches them
+        argv = ["plates", "--a", "0.5", "--temp", "3000", "--pressure"]
+        status, out, _ = run_cli(argv + ["--max-shell", "1"])
+        assert status == 2
+        assert out == ""
+        assert "--max-shell" in capsys.readouterr().err
+        assert run_cli(argv)[0] == 0
+
 
 class TestTolerance:
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10", "abc", "0.5"])

@@ -1,19 +1,14 @@
 import math
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from casimirbox.specfun import (
-    CONSTANTS,
     HBAR_C,
     K_BOLTZMANN,
     PI,
     ZETA3,
     bessel_k,
-    exp_tail_bound,
     richardson_derivative,
 )
 
@@ -23,8 +18,6 @@ K1_AT_1 = 0.60190723019723458
 
 def test_constants_pinned():
     assert abs(ZETA3 - 1.2020569031595942854) < 1e-15
-    assert CONSTANTS.zeta3 == ZETA3
-    assert CONSTANTS.pi == math.pi
     # CODATA hbar*c and the exact-SI Boltzmann constant
     assert abs(HBAR_C - 3.16152677e-26) < 1e-33
     assert K_BOLTZMANN == 1.380649e-23
@@ -151,48 +144,6 @@ def test_nan_zero_and_negative_arguments_raise(order, bad):
         bessel_k(order, bad)
     with pytest.raises(ValueError):
         bessel_k(order, np.array([1.0, 3.0, bad]))
-
-
-def test_tail_bound_examples():
-    assert exp_tail_bound(1.0, 1.0, 10) == pytest.approx(
-        math.exp(-10.0) / (1.0 - math.exp(-1.0)), rel=1e-15, abs=0
-    )
-    assert exp_tail_bound(1.0, 1.0, 10) == pytest.approx(7.1825e-5, rel=1e-4)
-    assert exp_tail_bound(2.0, 0.5, 0) == pytest.approx(5.0830, rel=1e-4)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    prefactor=st.floats(min_value=1e-6, max_value=1e6),
-    rate=st.floats(min_value=1e-3, max_value=30.0),
-    start=st.integers(min_value=0, max_value=50),
-)
-# exp(-rate * start) is subnormal in all three
-@example(prefactor=2.0, rate=24.0, start=30)
-@example(prefactor=2.0, rate=18.125, start=40)
-# a prefactor below 1 makes the product subnormal as well
-@example(prefactor=0.5, rate=16.875, start=43)
-def test_tail_bound_dominates_partial_sums(prefactor, rate, start):
-    n = np.arange(start, start + 10_000)
-    decay = np.exp(-rate * n)
-    terms = prefactor * decay
-    partial = float(np.sum(terms))
-    # The full geometric sum equals the bound, so allow rounding slack:
-    # relative in the normal range; below it rounding is absolute, and
-    # each nonzero subnormal exp(-rate n), and its product with the
-    # prefactor, can be off by half of math.ulp(0.0).
-    subnormal = np.count_nonzero((decay > 0.0) & (np.minimum(decay, terms) < sys.float_info.min))
-    absolute = subnormal * 0.5 * (prefactor + 1.0) * math.ulp(0.0)
-    assert exp_tail_bound(prefactor, rate, start) >= partial * (1.0 - 1e-12) - absolute
-
-
-def test_tail_bound_domain_errors():
-    with pytest.raises(ValueError):
-        exp_tail_bound(1.0, 0.0, 1)
-    with pytest.raises(ValueError):
-        exp_tail_bound(1.0, -1.0, 1)
-    with pytest.raises(ValueError):
-        exp_tail_bound(-1.0, 1.0, 1)
 
 
 def test_richardson_derivative_levels_and_disagreement():

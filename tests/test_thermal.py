@@ -141,6 +141,14 @@ class TestThermalRaw:
         with pytest.raises(ValueError, match="tol"):
             series((1.0, 2.0), tol)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 1e6, 0, -5])
+    def test_bad_budget_raises_before_any_sum(self, budget):
+        # a NaN budget would pass every `points > budget` check
+        with pytest.raises(ValueError, match="budget"):
+            free_energy(CUBE_2UM, EM, TP300, 1e-10, budget)
+        with pytest.raises(ValueError, match="budget"):
+            _modesum.lattice_sums((1.0, 2.0, 3.0), 1e-10, budget)
+
 
 def brute_mode_sum(kernel, betas, cutoff):
     """Fixed-cutoff sum of a mode kernel over m_i = 1..cutoff on every axis."""
@@ -618,6 +626,20 @@ class TestForce:
             g = BoxGeometry(a_um * 1e-6, 10e-6, 10e-6)
             delta = force_x(g, EM, tp) - force_x(g, EM, t0)
             assert delta > 0.0
+
+    @pytest.mark.parametrize("field, c1", [(SCALAR, 0.125), (EM, -0.5)])
+    @pytest.mark.parametrize("side_um", [20.0, 200.0])
+    def test_cube_thermal_force_falls_like_kt_over_side(self, field, c1, side_um):
+        # the paper's zero thermal force at infinite size, for cubes: with
+        # F_x(0) = E0/(3L) (Euler's identity) and F_x(T) = -c1 kT/(3L) up to
+        # order exp(-2 pi/t), L (F_x(T) - F_x(0))/kT = -c1/3 - (2/3) (L E0) t;
+        # t = 0.19 and 0.019 at 300 K, where the rows agree to 1.2e-11 and
+        # 2.2e-10
+        side = side_um * 1e-6
+        cube = BoxGeometry(side, side, side)
+        thermal_force = force_x(cube, field, TP300) - force_x(cube, field, ThermalPoint(0.0))
+        law = -c1 / 3.0 - (2.0 / 3.0) * side * e0(cube, field) * TP300.reduced_t(side)
+        assert side * thermal_force / TP300.kt == pytest.approx(law, rel=1e-9, abs=0)
 
 
 class TestInternalEnergyAndEntropy:
