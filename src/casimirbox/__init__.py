@@ -10,7 +10,7 @@ from .boxzero import (
     lattice_g,
     lattice_r,
 )
-from .errors import CasimirBoxError, ConvergenceError, DerivativeInstabilityError
+from .errors import CasimirBoxError, ConvergenceError
 from .plates import PlatesConfig, plates_free_energy, plates_pressure
 from .specfun import bessel_k
 from .thermal import (
@@ -40,7 +40,6 @@ __all__ = [
     "SubtractionCoefficients",
     "CasimirBoxError",
     "ConvergenceError",
-    "DerivativeInstabilityError",
     "bessel_k",
     "lattice_g",
     "lattice_r",

@@ -63,14 +63,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import budget_error, check_budget, check_tol
+from .errors import DEFAULT_BUDGET, budget_error, check_budget, check_tol
 
-__all__ = ["LatticeSums", "lattice_sums", "log_sum", "force_sum", "energy_sum",
-           "DEFAULT_MAX_POINTS"]
-
-#: Library-level cap on lattice points (direct form) or dual terms per sum.
-#: The CLI exposes its own, smaller default via --max-shell.
-DEFAULT_MAX_POINTS = 50_000_000
+__all__ = ["LatticeSums", "lattice_sums", "log_sum", "force_sum", "energy_sum"]
 
 #: Volume of the positive-orthant part of the unit d-ball (pi/4, pi/6),
 #: for the a-priori count of lattice points inside the cutoff radius.
@@ -291,7 +286,7 @@ def _zeros(betas, kernels) -> LatticeSums:
     return LatticeSums(zeros, dict(zeros), math.hypot(*betas), "direct", dict(zeros))
 
 
-def _direct_sums(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS,
+def _direct_sums(betas, tol: float, max_points: int = DEFAULT_BUDGET,
                  kernels=("log", "energy", "force"), tighten: float = 1.0) -> LatticeSums:
     """`lattice_sums` in the direct form."""
     betas, kernels = _checked(betas, tol, max_points, kernels, tighten)
@@ -303,7 +298,7 @@ def _direct_sums(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS,
     return _direct_eval(betas, kernels, plan)
 
 
-def _dual_sums(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS,
+def _dual_sums(betas, tol: float, max_points: int = DEFAULT_BUDGET,
                kernels=("log", "energy", "force"), tighten: float = 1.0) -> LatticeSums:
     """`lattice_sums` in the dual form."""
     betas, kernels = _checked(betas, tol, max_points, kernels, tighten)
@@ -317,7 +312,7 @@ def _dual_sums(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS,
     return _dualsum.evaluate(betas, kernels, plan)
 
 
-def lattice_sums(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS,
+def lattice_sums(betas, tol: float, max_points: int = DEFAULT_BUDGET,
                  kernels=("log", "energy", "force"), tighten: float = 1.0) -> LatticeSums:
     """Sum the named kernels over the index lattice m_i >= 1 of 2 or 3 axes.
 
@@ -357,16 +352,16 @@ def lattice_sums(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS,
     return _direct_eval(betas, kernels, direct)
 
 
-def log_sum(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS) -> float:
+def log_sum(betas, tol: float, max_points: int = DEFAULT_BUDGET) -> float:
     """sum over the index lattice of ln(1 - exp(-r)); strictly negative."""
     return lattice_sums(betas, tol, max_points, ("log",)).sums["log"]
 
 
-def force_sum(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS) -> float:
+def force_sum(betas, tol: float, max_points: int = DEFAULT_BUDGET) -> float:
     """sum of n^2 / (r (exp(r) - 1)) with n the index on the first axis."""
     return lattice_sums(betas, tol, max_points, ("force",)).sums["force"]
 
 
-def energy_sum(betas, tol: float, max_points: int = DEFAULT_MAX_POINTS) -> float:
+def energy_sum(betas, tol: float, max_points: int = DEFAULT_BUDGET) -> float:
     """sum of r / (exp(r) - 1) over the index lattice."""
     return lattice_sums(betas, tol, max_points, ("energy",)).sums["energy"]

@@ -50,23 +50,19 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DEFAULT_TOL, budget_error, check_budget, check_tol
+from .errors import DEFAULT_BUDGET, DEFAULT_TOL, budget_error, check_budget, check_tol
 from .specfun import PI, ZETA3, bessel_k
 
 __all__ = [
     "BoxGeometry",
     "FieldKind",
     "DEFAULT_TOL",
-    "DEFAULT_MAX_TERMS",
     "lattice_g",
     "lattice_r",
     "e0",
     "e0_force_x",
     "e0_and_force_x",
 ]
-
-#: Default cap on the number of lattice points a single sum may visit.
-DEFAULT_MAX_TERMS = 5_000_000
 
 _RATIO_CEIL = 1e6
 
@@ -116,7 +112,7 @@ class FieldKind(Enum):
 _ZETA2 = PI**2 / 6.0
 
 
-def _g_pass(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
+def _g_pass(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_BUDGET):
     """(G(z), dG/dz) from one pass over the lattice points n l <= M.
 
     dG/dz = sum_{n,l>=1} n^2 (K_0(y) + K_1(y)/y), y = 2 pi n l z.  The kernels
@@ -171,13 +167,13 @@ def _g_pass(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
             math.fsum((sigma2 * (bessel_k(0.0, y) + k1 / y)).tolist()))
 
 
-def lattice_g(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> float:
+def lattice_g(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_BUDGET) -> float:
     """Lattice sum G(z) = -(1/(2 pi)) sum_{n,l>=1} (n/l) K_1(2 pi n l z), over
     the points n l <= M, M fixed a priori by a closed-form tail bound."""
     return _g_pass(z, tol, max_terms)[0]
 
 
-def _r_pass(z1: float, z2: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
+def _r_pass(z1: float, z2: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_BUDGET):
     """(R, dR/dz1, dR/dz2) at (z1, z2) from one pass over the (l, p) plane.
 
     K_{3/2} is elementary: with y = 2 pi rho and x = exp(-y),
@@ -268,13 +264,13 @@ def _r_pass(z1: float, z2: float, tol: float = DEFAULT_TOL, max_terms: int = DEF
 
 
 def lattice_r(z1: float, z2: float, tol: float = DEFAULT_TOL,
-              max_terms: int = DEFAULT_MAX_TERMS) -> float:
+              max_terms: int = DEFAULT_BUDGET) -> float:
     """Lattice sum R(z1, z2) over (l, p) in Z^2 minus the origin, j >= 1: each
     point's j series in closed form, the plane cut at a radius fixed a priori."""
     return _r_pass(z1, z2, tol, max_terms)[0]
 
 
-def _e0_gradient(sides, field: FieldKind, tol: float, max_terms: int = DEFAULT_MAX_TERMS):
+def _e0_gradient(sides, field: FieldKind, tol: float, max_terms: int = DEFAULT_BUDGET):
     """E0 and its gradient (dE0/da, dE0/db, dE0/dc), the sides in the slots given.
 
     b and c enter the closed form through its polynomial terms and the sums'
@@ -310,7 +306,7 @@ def _e0_gradient(sides, field: FieldKind, tol: float, max_terms: int = DEFAULT_M
 
 
 def e0(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL,
-       max_terms: int = DEFAULT_MAX_TERMS) -> float:
+       max_terms: int = DEFAULT_BUDGET) -> float:
     """Zero-temperature energy for the requested field kind.
 
     The closed form is evaluated with the sides in ascending order, so
@@ -321,7 +317,7 @@ def e0(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL,
 
 
 def e0_and_force_x(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL,
-                   max_terms: int = DEFAULT_MAX_TERMS) -> tuple[float, float]:
+                   max_terms: int = DEFAULT_BUDGET) -> tuple[float, float]:
     """(`e0`, `e0_force_x`) of the box from one evaluation of E0 and its
     gradient, bit for bit the values the two give separately."""
     sides = sorted(geom.sides)
@@ -330,7 +326,7 @@ def e0_and_force_x(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL
 
 
 def e0_force_x(geom: BoxGeometry, field: FieldKind, tol: float = DEFAULT_TOL,
-               max_terms: int = DEFAULT_MAX_TERMS) -> float:
+               max_terms: int = DEFAULT_BUDGET) -> float:
     """Zero-temperature force -dE0/da on the faces normal to the a axis.
 
     The analytic gradient of the closed form, from the same G and R passes

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import thermal
 from .boxzero import BoxGeometry, FieldKind
-from .errors import (DEFAULT_TOL, ConvergenceError, DerivativeInstabilityError, check_budget,
-                     check_tol)
+from .errors import DEFAULT_BUDGET, DEFAULT_TOL, ConvergenceError, check_budget, check_tol
 from .plates import PlatesConfig, plates_free_energy, plates_pressure
 from .specfun import HBAR_C
 from .thermal import ThermalPoint
@@ -200,7 +199,7 @@ def _add_tol_args(p: argparse.ArgumentParser, with_budget: bool = True):
             "--max-shell",
             dest="max_shell",
             type=_checked_arg(int, check_budget),
-            default=1_000_000,
+            default=DEFAULT_BUDGET,
             help="maximum lattice points (or dual-form terms) per sum, E0's included",
         )
 
@@ -233,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, type=float, help="separation [um]")
     p.add_argument("--temp", required=True, type=float, help="temperature [K]")
     p.add_argument("--pressure", action="store_true", help="add pressure columns")
-    # the plates series keep their own term cap; no lattice budget reaches them
+    # the plates series are a few terms; no lattice budget reaches them
     _add_tol_args(p, with_budget=False)
     p.set_defaults(func=_cmd_plates)
 
@@ -276,7 +275,7 @@ def run(argv=None, out=None, err=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=err)
         return 2
-    except (ConvergenceError, DerivativeInstabilityError) as exc:
+    except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=err)
         return 3
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the default tolerance, and
-the checks of a tolerance and a term budget."""
+"""Exception types shared across the package, the default tolerance and
+term budget, and the checks of a tolerance and a term budget."""
 
 from __future__ import annotations
 
@@ -23,22 +23,6 @@ class ConvergenceError(CasimirBoxError):
         )
 
 
-class DerivativeInstabilityError(CasimirBoxError):
-    """Richardson extrapolation levels of a finite-difference derivative
-    disagree beyond the accepted threshold.
-
-    Raised only by `plates_pressure`; box forces are analytic gradients."""
-
-    def __init__(self, what: str, disagreement: float, threshold: float):
-        self.what = what
-        self.disagreement = disagreement
-        self.threshold = threshold
-        super().__init__(
-            f"{what}: Richardson levels disagree by {disagreement:.3e} "
-            f"(relative), threshold {threshold:.3e}"
-        )
-
-
 def budget_error(series: str, tol: float, need: str, budget: int) -> ConvergenceError:
     """ConvergenceError for a series stopped by its term budget.
 
@@ -53,6 +37,12 @@ def budget_error(series: str, tol: float, need: str, budget: int) -> Convergence
 
 #: Default relative tolerance of every series, the CLI's --tol included.
 DEFAULT_TOL = 1e-10
+
+#: Default cap on the lattice points or terms of any one series: the mode
+#: sums (direct points or dual terms), E0's G and R passes and the CLI's
+#: --max-shell.  An R pass holds all its points at once, about 100 bytes
+#: each, so this cap also keeps one pass under about 0.5 GB.
+DEFAULT_BUDGET = 5_000_000
 
 #: Largest accepted relative tolerance; a looser one would stop a series
 #: while its tail still changes the leading digits.

@@ -48,7 +48,6 @@ __all__ = [
     "HBAR_C",
     "K_BOLTZMANN",
     "bessel_k",
-    "richardson_derivative",
 ]
 
 #: Riemann zeta(3) = 1.2020569031595942854..., nearest double.
@@ -176,18 +175,3 @@ def bessel_k(order: float, x):
             out = _k_integer(int(order), xa, lowest)
     return float(out) if scalar else out
 
-
-def richardson_derivative(func, x: float, h: float) -> tuple[float, float]:
-    """Derivative of func at x: central differences with steps h and h/2,
-    Richardson-extrapolated to cancel the h^2 error term.
-
-    Returns (derivative, disagreement), where disagreement is
-    |d2 - d1| / max(|derivative|, |d1|, |d2|) for the two levels d1 (step h)
-    and d2 (step h/2), and 0 when all three vanish.  Callers that gate on
-    it decide the threshold and the error.
-    """
-    d1 = (func(x + h) - func(x - h)) / (2.0 * h)
-    d2 = (func(x + h / 2.0) - func(x - h / 2.0)) / h
-    extrap = (4.0 * d2 - d1) / 3.0
-    scale = max(abs(extrap), abs(d1), abs(d2))
-    return extrap, (abs(d2 - d1) / scale if scale > 0.0 else 0.0)

@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 from . import _modesum
 from .boxzero import BoxGeometry, FieldKind, e0, e0_and_force_x, e0_force_x
-from .errors import DEFAULT_TOL
+from .errors import DEFAULT_BUDGET, DEFAULT_TOL
 from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
 
 __all__ = [
@@ -84,10 +84,7 @@ __all__ = [
     "internal_energy",
     "entropy",
     "asymptotic_thermal",
-    "DEFAULT_MAX_POINTS",
 ]
-
-DEFAULT_MAX_POINTS = _modesum.DEFAULT_MAX_POINTS
 
 
 @dataclass(frozen=True)
@@ -203,7 +200,7 @@ def thermal_raw(
     field: FieldKind,
     tp: ThermalPoint,
     tol: float = DEFAULT_TOL,
-    max_points: int = DEFAULT_MAX_POINTS,
+    max_points: int = DEFAULT_BUDGET,
 ) -> float:
     """Nonrenormalized thermal correction to the free energy [1/m].
 
@@ -403,7 +400,7 @@ def free_energy(
     field: FieldKind,
     tp: ThermalPoint,
     tol: float = DEFAULT_TOL,
-    max_points: int = DEFAULT_MAX_POINTS,
+    max_points: int = DEFAULT_BUDGET,
 ) -> EnergyBreakdown:
     """Physical Casimir free energy with its renormalization breakdown.
 
@@ -444,7 +441,7 @@ def force_x(
     field: FieldKind,
     tp: ThermalPoint,
     tol: float = DEFAULT_TOL,
-    max_points: int = DEFAULT_MAX_POINTS,
+    max_points: int = DEFAULT_BUDGET,
 ) -> float:
     """Casimir force -dF/da between the faces normal to the a axis [1/m^2]."""
     return math.fsum(_force_parts(geom, field, tp, tol, max_points))
@@ -455,7 +452,7 @@ def internal_energy(
     field: FieldKind,
     tp: ThermalPoint,
     tol: float = DEFAULT_TOL,
-    max_points: int = DEFAULT_MAX_POINTS,
+    max_points: int = DEFAULT_BUDGET,
 ) -> float:
     """Internal energy U = -T^2 d(F/T)/dT, by term-wise analytic derivative.
 
@@ -472,7 +469,7 @@ def entropy(
     field: FieldKind,
     tp: ThermalPoint,
     tol: float = DEFAULT_TOL,
-    max_points: int = DEFAULT_MAX_POINTS,
+    max_points: int = DEFAULT_BUDGET,
 ) -> float:
     """Entropy (U - F)/(k_B T), dimensionless in units of k_B.
 

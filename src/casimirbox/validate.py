@@ -7,7 +7,9 @@ lattice functions from direct brute-force summation with fixed cutoffs
 precision for the plain log-sums), and thermodynamic relations from
 Richardson-extrapolated finite differences.  The zero-temperature energy
 also has an oracle that shares no formula with the G/R closed forms: an
-exponential-cutoff mode sum (oracle_e0_cutoff).
+exponential-cutoff mode sum (oracle_e0_cutoff).  The parallel plates have
+a 40-digit Matsubara double sum with a numerical a-derivative
+(oracle_plates).
 
 Pinned oracle outputs live in data/fixtures.txt, one per line:
 
@@ -26,9 +28,10 @@ from importlib import resources
 
 import numpy as np
 
-from . import _modesum, boxzero, plates, thermal
+from . import boxzero, plates, thermal
 from .boxzero import BoxGeometry, FieldKind
-from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3, bessel_k, richardson_derivative
+from .errors import DEFAULT_BUDGET
+from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3, bessel_k
 from .thermal import ThermalPoint
 
 __all__ = [
@@ -36,6 +39,8 @@ __all__ = [
     "oracle_lattice",
     "oracle_e0",
     "oracle_e0_cutoff",
+    "oracle_plates",
+    "richardson_derivative",
     "oracle_thermo_consistency",
     "ThermoReport",
     "CheckResult",
@@ -250,6 +255,56 @@ def oracle_e0_cutoff(field: FieldKind, a: float, b: float, c: float) -> float:
     return float(coeffs[-1])
 
 
+def oracle_plates(separation: float, temperature: float) -> tuple[float, float]:
+    """(F, P) of two ideal-metal planes at T > 0, to about 40 digits.
+
+    F is the Matsubara double sum itself, term by term,
+
+        F = -(kT/(4 pi a^2)) [zeta(3)/2 + sum_{n,j>=1} (1 + y) e^{-y}/j^3],
+        y = 4 pi a kT n j,
+
+    over the pairs n j <= m, beyond which e^{-y} < 1e-55;
+    P = -dF/da is mpmath's numerical derivative of that sum, not its
+    analytic derivative.  Valid for any t; the number of pairs grows like
+    t ln t.
+    """
+    import mpmath
+
+    if not temperature > 0.0:
+        raise ValueError("oracle_plates needs T > 0")
+    with mpmath.workdps(50):
+        kt = mpmath.mpf(K_BOLTZMANN) * mpmath.mpf(temperature) / mpmath.mpf(HBAR_C)
+        a0 = mpmath.mpf(separation)
+        x1 = 4 * mpmath.pi * a0 * kt
+        m = int(mpmath.ceil(55 * mpmath.log(10) / x1)) + 1
+
+        def free_energy(a):
+            x = 4 * mpmath.pi * a * kt
+            total = mpmath.zeta(3) / 2
+            for j in range(1, m + 1):
+                for n in range(1, m // j + 1):
+                    y = x * n * j
+                    total += (1 + y) * mpmath.exp(-y) / j**3
+            return -kt / (4 * mpmath.pi * a**2) * total
+
+        return float(free_energy(a0)), float(-mpmath.diff(free_energy, a0))
+
+
+def richardson_derivative(func, x: float, h: float) -> tuple[float, float]:
+    """Derivative of func at x: central differences with steps h and h/2,
+    Richardson-extrapolated to cancel the h^2 error term.
+
+    Returns (derivative, disagreement), where disagreement is
+    |d2 - d1| / max(|derivative|, |d1|, |d2|) for the two levels d1 (step h)
+    and d2 (step h/2), and 0 when all three vanish.
+    """
+    d1 = (func(x + h) - func(x - h)) / (2.0 * h)
+    d2 = (func(x + h / 2.0) - func(x - h / 2.0)) / h
+    extrap = (4.0 * d2 - d1) / 3.0
+    scale = max(abs(extrap), abs(d1), abs(d2))
+    return extrap, (abs(d2 - d1) / scale if scale > 0.0 else 0.0)
+
+
 @dataclass(frozen=True)
 class ThermoReport:
     """Relative deviations of U and S from finite differences of F."""
@@ -459,7 +514,7 @@ def _fixture_actual(fix: Fixture) -> float:
     if fix.kind in ("X", "Y"):
         field = FieldKind.SCALAR_DIRICHLET if fix.kind == "X" else FieldKind.ELECTROMAGNETIC
         betas = (p["beta_a"], p["beta_b"], p["beta_c"])
-        sums = thermal._mode_sums(field, betas, 1e-12, _modesum.DEFAULT_MAX_POINTS, ("log",))[0]
+        sums = thermal._mode_sums(field, betas, 1e-12, DEFAULT_BUDGET, ("log",))[0]
         return sums["log"]
     if fix.kind in ("E0S", "E0EM"):
         field = FieldKind.SCALAR_DIRICHLET if fix.kind == "E0S" else FieldKind.ELECTROMAGNETIC

@@ -7,7 +7,9 @@ import time
 
 import pytest
 
-from casimirbox import cli
+from casimirbox import cli, thermal
+from casimirbox.boxzero import BoxGeometry, FieldKind
+from casimirbox.thermal import ThermalPoint
 
 BOX_HEADER = (
     "a_um,b_um,c_um,T_K,t_reduced,e0_dimless,thermal_raw_dimless,"
@@ -415,13 +417,31 @@ class TestBudget:
         assert "--max-shell" in capsys.readouterr().err  # argparse writes to sys.stderr
 
     def test_plates_take_no_budget(self, capsys):
-        # the plates series keep their own term cap; no lattice budget reaches them
+        # the plates series are a few terms; no lattice budget reaches them
         argv = ["plates", "--a", "0.5", "--temp", "3000", "--pressure"]
         status, out, _ = run_cli(argv + ["--max-shell", "1"])
         assert status == 2
         assert out == ""
         assert "--max-shell" in capsys.readouterr().err
-        assert run_cli(argv)[0] == 0
+        status, out, _ = run_cli(argv)
+        assert status == 0
+        rec = row_as_dict(out)
+        assert rec["error"] == ""
+        assert float(rec["p_dimless"]) < float(rec["f_dimless"]) < 0.0
+
+    def test_library_and_cli_share_one_budget(self):
+        # the 1 um EM cube at 1e6 K needs 1.3e6 dual terms: the library and
+        # the CLI's default --max-shell both allow them
+        hot = ThermalPoint(1e6)
+        cube = BoxGeometry(1e-6, 1e-6, 1e-6)
+        assert math.isfinite(thermal.force_x(cube, FieldKind.ELECTROMAGNETIC, hot))
+        status, out, _ = run_cli(["sweep", "--quantity", "force", "--field", "em", "--var", "temp",
+                                  "--from", "1", "--to", "1e6", "--points", "3", "--log",
+                                  "--a", "1", "--b", "1", "--c", "1"])
+        assert status == 0
+        rows = [row_as_dict(out, row) for row in (1, 2, 3)]
+        assert [float(r["T_K"]) for r in rows] == pytest.approx([1.0, 1e3, 1e6])
+        assert [r["error"] for r in rows] == ["", "", ""]
 
 
 class TestTolerance:

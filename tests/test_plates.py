@@ -1,13 +1,14 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from casimirbox.plates import (
     PlatesConfig,
-    T_SWITCH,
-    _free_energy_closed,
-    _free_energy_dual,
+    _T_CROSS,
+    _closed,
+    _matsubara,
     plates_free_energy,
     plates_pressure,
 )
@@ -43,22 +44,35 @@ class TestFreeEnergy:
         assert plates_free_energy(cfg) == pytest.approx(classical, rel=1e-3)
 
     def test_representation_seam(self):
-        for t in np.linspace(0.4, 0.7, 7):
-            cfg = cfg_for_t(SEP, float(t))
-            closed = _free_energy_closed(cfg, 1e-12)
-            dual = _free_energy_dual(cfg, 1e-12)
-            assert closed == pytest.approx(dual, rel=1e-9)
+        # the Matsubara and closed forms, summed to tol 1e-16, agree across
+        # the crossover in F and P
+        for t in np.linspace(0.5 * _T_CROSS, 2.0 * _T_CROSS, 16):
+            for sep in (0.5e-6, 2e-6):
+                cfg = cfg_for_t(sep, float(t))
+                for pressure in (False, True):
+                    matsubara = _matsubara(cfg, 1e-16, pressure)
+                    closed = _closed(cfg, 1e-16, pressure)
+                    assert abs(matsubara / closed - 1.0) <= 1e-13
 
     def test_switch_point(self):
-        assert T_SWITCH == 0.5
-        just_below = cfg_for_t(SEP, 0.499)
-        just_above = cfg_for_t(SEP, 0.501)
-        # continuity across the switch at the 1e-9 level
-        f_lo = plates_free_energy(just_below)
-        f_hi = plates_free_energy(just_above)
-        assert abs(f_lo - f_hi) / abs(f_hi) < 2e-2  # smooth physical variation
-        cfg = cfg_for_t(SEP, 0.5)
-        assert plates_free_energy(cfg) == pytest.approx(_free_energy_closed(cfg, 1e-10), rel=1e-12)
+        # below the crossover the Matsubara form runs, from it on the closed form
+        below = cfg_for_t(SEP, math.nextafter(_T_CROSS, 0.0))
+        at = cfg_for_t(SEP, _T_CROSS)
+        assert below.reduced_t < _T_CROSS <= at.reduced_t
+        for public, pressure in ((plates_free_energy, False), (plates_pressure, True)):
+            assert public(below) == _matsubara(below, 1e-10, pressure)
+            assert public(at) == _closed(at, 1e-10, pressure)
+            assert public(below) == pytest.approx(public(at), rel=1e-9)
+
+    @pytest.mark.parametrize("t", [1e-5, 1e-4, 1e-3, 1e-2])
+    def test_classical_limit_to_roundoff(self, t):
+        # the first Matsubara correction is e^{-2 pi/t} <= e^{-628} here
+        for sep in (0.5e-6, 2e-6):
+            cfg = cfg_for_t(sep, t)
+            f_classical = -cfg.kt * ZETA3 / (8.0 * PI * sep**2)
+            p_classical = -cfg.kt * ZETA3 / (4.0 * PI * sep**3)
+            assert abs(plates_free_energy(cfg) / f_classical - 1.0) <= 1e-12
+            assert abs(plates_pressure(cfg) / p_classical - 1.0) <= 1e-12
 
     def test_cubic_coefficient_extracted_from_small_t_fit(self):
         # fit F(1/t) - F(0-term): the (T/T_eff)^3 coefficient should be
@@ -118,13 +132,37 @@ class TestPressure:
                 assert plates_pressure(PlatesConfig(sep, temperature)) < 0.0
 
     def test_classical_pressure_ratio(self):
-        # P approaches -kT zeta3/(4 pi a^3); beyond t ~ 0.2 the remaining
-        # deviation sits at the finite-difference noise floor
+        # P approaches -kT zeta3/(4 pi a^3); the deviation is the leading
+        # Matsubara term (2 + 2x + x^2) e^{-x}/zeta3, x = 2 pi/t, the next
+        # ones e^{-2x} smaller, until it falls below roundoff
         devs = []
         for t in (0.3, 0.2, 0.1, 0.05):
             cfg = cfg_for_t(SEP, t)
-            devs.append(
-                abs(plates_pressure(cfg) / (-cfg.kt * ZETA3 / (4.0 * PI * SEP**3)) - 1.0)
-            )
-        assert devs[1] < devs[0]
-        assert all(d < 1e-6 for d in devs[1:])
+            devs.append(plates_pressure(cfg) / (-cfg.kt * ZETA3 / (4.0 * PI * SEP**3)) - 1.0)
+        for t, dev in zip((0.3, 0.2), devs):
+            x = 2.0 * PI / t
+            assert dev == pytest.approx((2.0 + 2.0 * x + x * x) * math.exp(-x) / ZETA3, rel=1e-4)
+        assert all(abs(d) <= 4e-16 for d in devs[2:])
+
+
+class TestEdges:
+    T_EDGES = np.geomspace(1e-8, 1e8, 33)
+
+    @pytest.mark.parametrize("sep", [0.5e-6, 2e-6])
+    def test_finite_negative_and_fast_from_hot_to_cold(self, sep):
+        for t in self.T_EDGES:
+            cfg = cfg_for_t(sep, float(t))
+            for fn in (plates_free_energy, plates_pressure):
+                start = time.perf_counter()
+                value = fn(cfg)
+                assert time.perf_counter() - start < 5e-3
+                assert math.isfinite(value) and value < 0.0, (fn.__name__, t)
+
+    @pytest.mark.parametrize("temperature", [0.0, 5e-324, 1e-300, 1e-30, 1e30, 1e300, 1.7e308])
+    def test_any_temperature_returns(self, temperature):
+        # where kT overflows the classical term does too: -inf, never NaN
+        cfg = PlatesConfig(1e-6, temperature)
+        for fn in (plates_free_energy, plates_pressure):
+            value = fn(cfg)
+            assert value < 0.0
+            assert fn(cfg, 1e-3) < 0.0

@@ -9,7 +9,6 @@ from casimirbox.specfun import (
     PI,
     ZETA3,
     bessel_k,
-    richardson_derivative,
 )
 
 # pinned by the 30-digit oracle (see data/fixtures.txt)
@@ -145,14 +144,3 @@ def test_nan_zero_and_negative_arguments_raise(order, bad):
     with pytest.raises(ValueError):
         bessel_k(order, np.array([1.0, 3.0, bad]))
 
-
-def test_richardson_derivative_levels_and_disagreement():
-    # f = x^3 at x = 1, h = 1/2, all exact in binary: the step-h level is
-    # f'(1) + h^2 f'''(1)/6 = 3.25, the step-h/2 level 3.0625, and the
-    # extrapolation removes the h^2 term exactly
-    slope, disagreement = richardson_derivative(lambda x: x**3, 1.0, 0.5)
-    assert slope == 3.0
-    assert disagreement == (3.25 - 3.0625) / 3.25
-    # a linear function has no error term; a constant has no scale
-    assert richardson_derivative(lambda x: 2.0 * x + 1.0, 1.0, 0.25) == (2.0, 0.0)
-    assert richardson_derivative(lambda x: 5.0, 1.0, 0.25) == (0.0, 0.0)

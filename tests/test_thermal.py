@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from casimirbox import _modesum, thermal, validate
 from casimirbox.boxzero import BoxGeometry, FieldKind, e0, e0_force_x
-from casimirbox.errors import ConvergenceError
+from casimirbox.errors import DEFAULT_BUDGET, ConvergenceError
+from casimirbox.plates import PlatesConfig, plates_pressure
 from casimirbox.specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
 from casimirbox.thermal import (
     EnergyBreakdown,
@@ -298,10 +299,12 @@ class TestDualForm:
 
     KERNELS = ("log", "energy", "force")
     BOXES_UM = {"cube": (2.0, 2.0, 2.0), "slab": (1.0, 10.0, 10.0), "bar": (10.0, 1.0, 1.0)}
+    # the slab's direct form at 10 kK needs 1.04e7 points, past DEFAULT_BUDGET
+    BUDGET = 50_000_000
 
     def check(self, betas, tol, tighten=1.0):
-        direct = _modesum._direct_sums(betas, tol, kernels=self.KERNELS, tighten=tighten)
-        dual = _modesum._dual_sums(betas, tol, kernels=self.KERNELS, tighten=tighten)
+        direct = _modesum._direct_sums(betas, tol, self.BUDGET, self.KERNELS, tighten)
+        dual = _modesum._dual_sums(betas, tol, self.BUDGET, self.KERNELS, tighten)
         assert (direct.form, dual.form) == ("direct", "dual")
         for name in self.KERNELS:
             allowed = (direct.bounds[name] + dual.bounds[name]
@@ -406,7 +409,7 @@ class TestClassicalLimit:
         # the roundoff floors of F, U and S kT: their pieces' sizes plus
         # the sum of |term| of their mode series
         scales = thermal._mode_sums(field, tp.reduced(self.CUBE), tol,
-                                    thermal.DEFAULT_MAX_POINTS, ("log", "energy"))[2]
+                                    DEFAULT_BUDGET, ("log", "energy"))[2]
         modes_u = internal - free.e0_ren + 3.0 * free.bb_term + 2.0 * free.alpha1_term
         modes_u += free.alpha2_term
         bb, a1, a2 = (abs(free.bb_term), abs(free.alpha1_term), abs(free.alpha2_term))
@@ -640,6 +643,30 @@ class TestForce:
         thermal_force = force_x(cube, field, TP300) - force_x(cube, field, ThermalPoint(0.0))
         law = -c1 / 3.0 - (2.0 / 3.0) * side * e0(cube, field) * TP300.reduced_t(side)
         assert side * thermal_force / TP300.kt == pytest.approx(law, rel=1e-9, abs=0)
+
+    def test_wide_box_thermal_pressure_tends_to_the_plates(self):
+        # the paper's two-plane limit, against a formula the box shares
+        # nothing with: for the EM 1 x L x L um box at 300 K the thermal
+        # force per face area, (F_x(T) - F_x(0))/L^2, tends to the plates'
+        # P(T) - P(0) = -6.46127e19 m^-4.  Its relative deviation is
+        # -69.545037950 um^2/L^2 from L = 30 to 3000 um (rate 2.000000 between
+        # each pair), so the L^-2 extrapolation from L = 300 and 1000 um is
+        # left with roundoff: 1.6e-14, and 2.3e-14 at most over the four
+        # pairs, where F_x(T) - F_x(0) cancels about 1300-fold.  The bound
+        # is 4x that.
+        target = (plates_pressure(PlatesConfig(1e-6, 300.0))
+                  - plates_pressure(PlatesConfig(1e-6, 0.0)))
+        assert target == pytest.approx(-6.46127e19, rel=1e-6)
+        dev = {}
+        for side_um in (300.0, 1000.0):
+            box = BoxGeometry(1e-6, side_um * 1e-6, side_um * 1e-6)
+            thermal_force = force_x(box, EM, TP300) - force_x(box, EM, ThermalPoint(0.0))
+            dev[side_um] = thermal_force / (box.b * box.c) / target - 1.0
+        assert dev[1000.0] == pytest.approx(-6.9545e-5, rel=1e-4)
+        rate = math.log(dev[300.0] / dev[1000.0]) / math.log(1000.0 / 300.0)
+        assert rate == pytest.approx(2.0, abs=1e-6)
+        extrapolated = (1000.0**2 * dev[1000.0] - 300.0**2 * dev[300.0]) / (1000.0**2 - 300.0**2)
+        assert abs(extrapolated) <= 1e-13
 
 
 class TestInternalEnergyAndEntropy:

@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from casimirbox import validate
+from casimirbox import plates, validate
 from casimirbox.boxzero import BoxGeometry, FieldKind, e0, lattice_g, lattice_r
-from casimirbox.specfun import PI, bessel_k
+from casimirbox.specfun import HBAR_C, K_BOLTZMANN, PI, bessel_k
 
 SCALAR = FieldKind.SCALAR_DIRICHLET
 EM = FieldKind.ELECTROMAGNETIC
@@ -116,6 +116,27 @@ class TestCutoffOracle:
         assert self.em_10_10(lo) * self.em_10_10(hi) < 0.0
 
 
+class TestPlatesOracle:
+    T_GRID = (1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0, 10.0)
+
+    @pytest.mark.parametrize("separation", [0.5e-6, 2e-6])
+    def test_matsubara_sum_to_40_digits(self, separation):
+        # both forms, the crossover and the analytic pressure against the
+        # 40-digit double sum and its numerical derivative; at the default
+        # tol the error stays within that tol
+        for t in self.T_GRID:
+            cfg = plates.PlatesConfig(separation, HBAR_C / (2.0 * separation * K_BOLTZMANN * t))
+            f_ref, p_ref = validate.oracle_plates(separation, cfg.temperature)
+            assert abs(plates.plates_free_energy(cfg, 1e-15) / f_ref - 1.0) <= 1e-14, t
+            assert abs(plates.plates_pressure(cfg, 1e-15) / p_ref - 1.0) <= 1e-14, t
+            assert abs(plates.plates_free_energy(cfg) / f_ref - 1.0) <= 1e-10, t
+            assert abs(plates.plates_pressure(cfg) / p_ref - 1.0) <= 1e-10, t
+
+    def test_requires_positive_t(self):
+        with pytest.raises(ValueError):
+            validate.oracle_plates(1e-6, 0.0)
+
+
 class TestThermoOracle:
     def test_em_cube_consistency(self):
         rep = validate.oracle_thermo_consistency(
@@ -198,3 +219,15 @@ class TestRunChecks:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def test_richardson_derivative_levels_and_disagreement():
+    # f = x^3 at x = 1, h = 1/2, all exact in binary: the step-h level is
+    # f'(1) + h^2 f'''(1)/6 = 3.25, the step-h/2 level 3.0625, and the
+    # extrapolation removes the h^2 term exactly
+    slope, disagreement = validate.richardson_derivative(lambda x: x**3, 1.0, 0.5)
+    assert slope == 3.0
+    assert disagreement == (3.25 - 3.0625) / 3.25
+    # a linear function has no error term; a constant has no scale
+    assert validate.richardson_derivative(lambda x: 2.0 * x + 1.0, 1.0, 0.25) == (2.0, 0.0)
+    assert validate.richardson_derivative(lambda x: 5.0, 1.0, 0.25) == (0.0, 0.0)
