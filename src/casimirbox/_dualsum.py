@@ -57,7 +57,7 @@ from ._modesum import LatticeSums
 from .errors import ConvergenceError
 from .specfun import bessel_k
 
-__all__ = ["Plan", "plan", "evaluate", "estimate_terms"]
+__all__ = ["Plan", "plan", "evaluate"]
 
 #: e-folds of the first dual cut beyond the targets' (their margin ranged
 #: from 4 to 15 over the benchmark's lattices at 3-40 kK)
@@ -226,28 +226,6 @@ def _first_cut(betas, log_targets: dict) -> float:
     keep = _kept(betas)
     return max(4.0, -min(log_targets.values()) - sum(
         math.log(b) for i, b in enumerate(betas) if i != keep) + _FIRST_MARGIN)
-
-
-def estimate_terms(betas, log_targets: dict) -> float:
-    """About the number of terms `plan` keeps, without planning: within a
-    factor 0.85-2.2 of it on the benchmark's lattices at 1-40 kK.
-
-    At the first cut X, rows n <= N = X / beta_K, each subset's k = 0
-    column j <= rho_n = X / (beta_K n) and its images, a half disk or half
-    ball of radius rho_n in (j, w) over the dual cell prod_Q 2 pi / beta_i,
-    summed over n.
-    """
-    keep = _kept(betas)
-    others = [i for i in range(len(betas)) if i != keep]
-    rho = _first_cut(betas, log_targets) / betas[keep]
-    terms = rho
-    for size in range(1, len(others) + 1):
-        for axes in combinations(others, size):
-            cell = math.prod(2.0 * math.pi / betas[i] for i in axes)
-            # half disk pi/2 rho^2, half ball 2 pi/3 rho^3; sum_n n^-m = zeta(m)
-            ball = (math.pi / 2.0 * 1.6449 if size == 1 else 2.0 * math.pi / 3.0 * 1.2021)
-            terms += rho * (math.log(max(rho, 1.0)) + 0.5772) + ball * rho ** (size + 1) / cell
-    return terms
 
 
 class Plan(NamedTuple):

@@ -44,16 +44,17 @@ it returns the same `LatticeSums`, and is imported only for a lattice
 large enough to consider it, since compiling it would cost every
 command-line call.
 
-Choice.  Both forms know their work before they sum: the direct form its
-point count and slab count, the dual form its term count once its cut is
-planned, and an estimate of it before.  The dual form is planned only
-where its fixed costs and estimated terms undercut the direct sum, or where
-the direct form is over budget; once planned, the form with the smaller
-remaining cost that fits the budget runs.  Costs are weighed in measured
-units of one direct lattice point.  Every lattice of the benchmark up to
-300 K sums directly without planning.  Both forms return the same
-`LatticeSums`.  Sums are added with fsum over fixed partial sums, so
-results are deterministic.
+Choice.  The direct form knows its work before it sums: its point count
+and slab count, weighed in measured units of one direct lattice point.
+The dual form is planned, and then runs, where that cost exceeds the dual
+form's fixed cost or the direct form is over budget, and its planned terms
+fit the budget; otherwise the direct form runs under its own budget.  The
+dual form's terms are not weighed: over the benchmark's lattices and those
+of two more boxes at 0.5-10 kK, the form picked was the faster on 73 of 79,
+and at most 1.4 times slower on the rest, all near the threshold.  Every
+lattice of the benchmark up to 300 K sums directly without planning.  Both
+forms return the same `LatticeSums`.  Sums are added with fsum over fixed
+partial sums, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -74,16 +75,14 @@ _ORTHANT_BALL = {2: 0.7854, 3: 0.5236}
 #: (k, s) of each kernel's bound |f| <= beta_1^-s r^k exp(-r) / (1 - exp(-r1))
 _KERNEL_BOUNDS = {"log": (0, 0), "energy": (1, 0), "force": (1, 2)}
 
-#: The forms' costs in units of one direct lattice point, fitted to timed
-#: sums over the benchmark's boxes and two more (1x2x3, 5x1x3 um) at
-#: 1-10 kK: a direct point 16 ns and a slab 20 us; a dual term 430 ns plus
-#: 0.22 ms per evaluation, and planning 0.4 ms (2 axes) or 1.2 ms (3 axes).
-#: The dual form is planned only where it may win, and runs where its
-#: evaluation costs less than the direct sum.
+#: The direct form's cost in units of one direct lattice point, its points
+#: plus _SLAB_COST per slab, and the dual form's fixed cost, planning and
+#: evaluation, by axis count: fitted to timed sums over the benchmark's
+#: boxes and two more (1x2x3, 5x1x3 um) at 1-10 kK, a direct point 16 ns, a
+#: slab 20 us and the dual form's fixed cost 0.6 ms (2 axes) or 1.4 ms
+#: (3 axes).  The dual form runs where the direct sum costs more than that.
 _SLAB_COST = 1300
-_DUAL_TERM_COST = 28
-_DUAL_EVAL_COST = 14_000
-_DUAL_PLAN_COST = {2: 25_000, 3: 75_000}
+_DUAL_COST = {2: 39_000, 3: 89_000}
 
 #: The dual form is not planned for targets below exp(-_DUAL_MAX_DEPTH):
 #: its cut X would then pass the underflow of exp(-X), at temperatures
@@ -250,6 +249,8 @@ def _direct_eval(betas, kernels, plan: _DirectPlan) -> LatticeSums:
 
 
 def _checked(betas, tol: float, max_points: int, kernels, tighten: float):
+    """The validated betas and kernels, and ln(tol |first term|) of each
+    kernel whose first term does not underflow."""
     check_tol(tol)
     check_budget(max_points)
     kernels = tuple(kernels)
@@ -262,17 +263,15 @@ def _checked(betas, tol: float, max_points: int, kernels, tighten: float):
         raise ValueError(f"tighten must be finite and >= 1, got {tighten!r}")
     if not kernels or any(name not in _KERNEL_BOUNDS for name in kernels):
         raise ValueError(f"kernels must name some of {sorted(_KERNEL_BOUNDS)}, got {kernels!r}")
-    return betas, kernels
-
-
-def _targets(betas, tol: float, kernels) -> dict:
-    """ln(tol |first term|) of each kernel whose first term does not underflow."""
     r1 = math.hypot(*betas)
     if r1 > 745.0:
-        return {}
+        return betas, kernels, {}
+    if np.exp(-r1) == 1.0:
+        # the first terms, over 1 - exp(-r1), are inf: no cut meets their targets
+        _budget(math.inf, tol, max_points)
     firsts = _slab_sums(kernels, 1, np.array([r1]))
-    return {name: math.log(tol) + math.log(abs(first))
-            for name, first in zip(kernels, firsts) if first != 0.0}
+    return betas, kernels, {name: math.log(tol) + math.log(abs(first))
+                            for name, first in zip(kernels, firsts) if first != 0.0}
 
 
 def _budget(points: float, tol: float, max_points: int):
@@ -289,8 +288,7 @@ def _zeros(betas, kernels) -> LatticeSums:
 def _direct_sums(betas, tol: float, max_points: int = DEFAULT_BUDGET,
                  kernels=("log", "energy", "force"), tighten: float = 1.0) -> LatticeSums:
     """`lattice_sums` in the direct form."""
-    betas, kernels = _checked(betas, tol, max_points, kernels, tighten)
-    targets = _targets(betas, tol, kernels)
+    betas, kernels, targets = _checked(betas, tol, max_points, kernels, tighten)
     if not targets:
         return _zeros(betas, kernels)
     plan = _direct_plan(betas, kernels, targets, tighten)
@@ -301,8 +299,7 @@ def _direct_sums(betas, tol: float, max_points: int = DEFAULT_BUDGET,
 def _dual_sums(betas, tol: float, max_points: int = DEFAULT_BUDGET,
                kernels=("log", "energy", "force"), tighten: float = 1.0) -> LatticeSums:
     """`lattice_sums` in the dual form."""
-    betas, kernels = _checked(betas, tol, max_points, kernels, tighten)
-    targets = _targets(betas, tol, kernels)
+    betas, kernels, targets = _checked(betas, tol, max_points, kernels, tighten)
     if not targets:
         return _zeros(betas, kernels)
     from . import _dualsum
@@ -316,38 +313,30 @@ def lattice_sums(betas, tol: float, max_points: int = DEFAULT_BUDGET,
                  kernels=("log", "energy", "force"), tighten: float = 1.0) -> LatticeSums:
     """Sum the named kernels over the index lattice m_i >= 1 of 2 or 3 axes.
 
-    One pass serves every kernel, in the direct or the dual form, whichever
-    costs less.  Each kernel's tail bound is at most tol times its first
-    term; with tighten > 1 every bound reached falls by that factor too.
+    One pass serves every kernel, in the direct form, or in the dual form
+    where the direct sum costs more than the dual form's fixed cost.  Each
+    kernel's tail bound is at most tol times its first term; with
+    tighten > 1 every bound reached falls by that factor too.
     The bounds reached are returned with the sums.  `max_points` caps the
     lattice points (direct) or terms (dual) of the form that runs.
     """
-    betas, kernels = _checked(betas, tol, max_points, kernels, tighten)
-    targets = _targets(betas, tol, kernels)
+    betas, kernels, targets = _checked(betas, tol, max_points, kernels, tighten)
     if not targets:
         return _zeros(betas, kernels)
     direct = _direct_plan(betas, kernels, targets, tighten)
     direct_cost = direct.points + _SLAB_COST * direct.radius / betas[0]
-    # the dual form keeps at least its rows n <= -ln(target) / beta_K, and
-    # its terms exp(-u), u <= X, must not underflow
-    depth = -min(targets.values())
-    dual_fixed = _DUAL_PLAN_COST[len(betas)] + _DUAL_EVAL_COST
-    if ((direct_cost > dual_fixed or direct.points > max_points)
+    # the dual form keeps at least its rows n <= X / beta_K, its cut X at
+    # least -ln(target) and 4 (`_dualsum._first_cut`), and its terms
+    # exp(-u), u <= X, must not underflow
+    depth = max(-min(targets.values()), 4.0)
+    if ((direct_cost > _DUAL_COST[len(betas)] or direct.points > max_points)
             and depth / max(betas) <= min(max_points, _DUAL_MAX_ROWS)
             and depth < _DUAL_MAX_DEPTH):
         from . import _dualsum
 
-        # planned where it may win, or where the direct form is over budget
-        if (dual_fixed + _DUAL_TERM_COST * _dualsum.estimate_terms(betas, targets) < direct_cost
-                or direct.points > max_points):
-            dual = _dualsum.plan(betas, kernels, targets, tighten)
-            dual_cost = _DUAL_TERM_COST * dual.terms + _DUAL_EVAL_COST
-            # the cheaper form within the budget, else the cheaper one's error
-            if ((dual_cost < direct_cost or direct.points > max_points)
-                    and dual.terms <= max_points):
-                return _dualsum.evaluate(betas, kernels, dual)
-            if direct.points > max_points and dual_cost < direct_cost:
-                _budget(dual.terms, tol, max_points)
+        dual = _dualsum.plan(betas, kernels, targets, tighten)
+        if dual.terms <= max_points:
+            return _dualsum.evaluate(betas, kernels, dual)
     _budget(direct.points, tol, max_points)
     return _direct_eval(betas, kernels, direct)
 

@@ -50,7 +50,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, DEFAULT_TOL, budget_error, check_budget, check_tol
+from .errors import (DEFAULT_BUDGET, DEFAULT_TOL, MAX_LENGTH, MIN_LENGTH, budget_error,
+                     check_budget, check_tol)
 from .specfun import PI, ZETA3, bessel_k
 
 __all__ = [
@@ -72,7 +73,7 @@ _EPS = sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class BoxGeometry:
-    """Rectangular cavity with strictly positive side lengths (meters)."""
+    """Rectangular cavity with side lengths (meters) in [MIN_LENGTH, MAX_LENGTH]."""
 
     a: float
     b: float
@@ -80,8 +81,9 @@ class BoxGeometry:
 
     def __post_init__(self):
         for name, v in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise ValueError(f"side {name} must be a positive finite number, got {v!r}")
+            if not (isinstance(v, (int, float)) and MIN_LENGTH <= v <= MAX_LENGTH):
+                raise ValueError(f"side {name} must be a number in [{MIN_LENGTH:g}, "
+                                 f"{MAX_LENGTH:g}] m, got {v!r}")
         # longest over shortest side, so the check does not depend on side order
         ratio = max(self.sides) / min(self.sides)
         if ratio > _RATIO_CEIL:

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the default tolerance and
-term budget, and the checks of a tolerance and a term budget."""
+term budget, the checks of a tolerance and a term budget, and the range of
+accepted lengths."""
 
 from __future__ import annotations
 
@@ -43,6 +44,14 @@ DEFAULT_TOL = 1e-10
 #: --max-shell.  An R pass holds all its points at once, about 100 bytes
 #: each, so this cap also keeps one pass under about 0.5 GB.
 DEFAULT_BUDGET = 5_000_000
+
+#: Accepted lengths [m], box sides and plate separations alike.  Within it
+#: E0, the zero-temperature force and the plates' F and P stay finite: the
+#: fourth powers stay in the float range, and 2 a kT, whose inverse is the
+#: plates' reduced temperature, does not underflow to 0 at the smallest
+#: positive kT (below 8e-27 m it does, for T near 1e-300 K).
+MIN_LENGTH = 1e-26
+MAX_LENGTH = 1e50
 
 #: Largest accepted relative tolerance; a looser one would stop a series
 #: while its tail still changes the leading digits.

@@ -23,9 +23,10 @@ gradient of E0; nothing is differentiated numerically.
 
 Accuracy contract.  `free_energy`, `force_x`, `internal_energy` and
 `entropy` are views of one row per state point (T > 0), which sums each of
-the field's mode lattices once for the log, energy and force kernels, in
-whichever of `_modesum`'s two exact forms costs less: the direct lattice
-sum, or its Poisson-resummed dual at high temperature, where the direct
+the field's mode lattices once for the log, energy and force kernels, in one
+of `_modesum`'s two exact forms: the direct lattice sum, or its
+Poisson-resummed dual where the direct sum would cost more than the dual
+form's fixed cost.  That happens at high temperature, where the direct
 sum's cost grows like t^-3 and the dual's barely grows.  Both return tail
 bounds and the sum of |term| of each series, so the check below does not
 depend on the form.  Each printed total of F, U, S kT and the force is a

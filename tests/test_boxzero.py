@@ -15,7 +15,7 @@ from casimirbox.boxzero import (
     lattice_g,
     lattice_r,
 )
-from casimirbox.errors import ConvergenceError
+from casimirbox.errors import MAX_LENGTH, MIN_LENGTH, ConvergenceError
 
 # Values pinned by the brute-force oracles (data/fixtures.txt).
 G_AT_1 = -0.00015759119922071813
@@ -317,6 +317,24 @@ class TestGeometryValidation:
         # b/a and c/a are within 1e6 but c/b is not
         with pytest.raises(ValueError):
             BoxGeometry(1.0, 1e-4, 1e3)
+
+    @pytest.mark.parametrize("side", [1e-110, 9.9e-27, 1.01e50, 1e110])
+    def test_rejects_lengths_outside_the_range(self, side):
+        # E0 of a 1e-110 m cube would divide by zero, of a 1e110 m cube
+        # overflow
+        with pytest.raises(ValueError, match="side a"):
+            BoxGeometry(side, side, side)
+        with pytest.raises(ValueError, match="side c"):
+            BoxGeometry(1e-6, 1e-6, side)
+
+    @pytest.mark.parametrize("side", [MIN_LENGTH, MAX_LENGTH])
+    def test_range_ends_stay_finite(self, side):
+        for sides in ((1, 1, 1), (1, 1e3, 1e6), (1e6, 1, 1e3)):
+            scale = side if side == MIN_LENGTH else side / 1e6
+            geom = BoxGeometry(*(s * scale for s in sides))
+            for field in (SCALAR, EM):
+                for fn in (e0, e0_force_x):
+                    assert math.isfinite(fn(geom, field)), (fn.__name__, geom)
 
 
 class TestForce:

@@ -360,6 +360,10 @@ class TestExitCodes:
             ["sweep", "--quantity", "force", "--field", "em", "--var", "a",
              "--from", "0", "--to", "1", "--points", "3"],
             ["e0", "--field", "em", "--a", "-2", "--b", "2", "--c", "2"],
+            # lengths whose powers leave the float range
+            ["e0", "--field", "em", "--a", "1e-104", "--b", "1e-104", "--c", "1e-104"],
+            ["plates", "--a", "1e-104", "--temp", "300"],
+            ["plates", "--a", "1e110", "--temp", "0"],
         ],
     )
     def test_invalid_input_writes_nothing(self, argv):
@@ -391,6 +395,21 @@ class TestExitCodes:
         assert status == 3
         assert "convergence error" in err
         assert out == ""
+
+
+    def test_overflowing_first_mode_exits_3(self):
+        # a 1 m cube at 1e18 K: exp(-r1) rounds to 1 and the first terms
+        # overflow, which no budget covers
+        box = ["--field", "em", "--a", "1e6", "--b", "1e6", "--c", "1e6"]
+        status, out, err = run_cli(["free-energy", *box, "--temp", "1e18"])
+        assert (status, out) == (3, "")
+        assert "convergence error: box mode sum" in err
+        status, out, _ = run_cli(["sweep", "--quantity", "free-energy", *box, "--var", "temp",
+                                  "--from", "1e16", "--to", "1e18", "--points", "2", "--log"])
+        assert status == 0
+        rows = out.strip().splitlines()
+        assert len(rows) == 3
+        assert row_as_dict(out, 2)["error"].startswith("box mode sum")
 
 
 class TestBudget:

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from casimirbox.errors import MAX_LENGTH, MIN_LENGTH
 from casimirbox.plates import (
     PlatesConfig,
     _T_CROSS,
@@ -166,3 +167,21 @@ class TestEdges:
             value = fn(cfg)
             assert value < 0.0
             assert fn(cfg, 1e-3) < 0.0
+
+    @pytest.mark.parametrize("sep", [1e-110, 9.9e-27, 1.01e50, 1e103, 1e110])
+    def test_rejects_lengths_outside_the_range(self, sep):
+        # a^3 or a^4, or 2 a kT at the smallest positive kT, leaves the
+        # float range
+        for temperature in (0.0, 300.0):
+            with pytest.raises(ValueError, match="separation"):
+                PlatesConfig(sep, temperature)
+
+    @pytest.mark.parametrize("sep", [MIN_LENGTH, MAX_LENGTH])
+    @pytest.mark.parametrize("temperature", [0.0, 1.8e-301, 1e-280, 300.0, 1e30])
+    def test_range_ends_stay_finite(self, sep, temperature):
+        # 1.8e-301 K is near the smallest positive kT: below the range's
+        # lower end 2 a kT would underflow to 0
+        cfg = PlatesConfig(sep, temperature)
+        for fn in (plates_free_energy, plates_pressure):
+            value = fn(cfg)
+            assert math.isfinite(value) and value < 0.0, fn.__name__

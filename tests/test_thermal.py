@@ -37,6 +37,8 @@ CUBE_2UM = BoxGeometry(2e-6, 2e-6, 2e-6)
 #: lattices, 33 slabs of one to three points, already cost less in the dual
 #: form)
 THERMO_TEMPS_LOW = (10.0, 20.0, 50.0, 100.0, 200.0, 300.0)
+#: and the benchmark's temperatures above 300 K
+THERMO_TEMPS_HIGH = (500.0, 1000.0, 2000.0, 3000.0, 5000.0, 10000.0)
 TP300 = ThermalPoint(300.0)
 
 # pinned by the direct compensated sums (data/fixtures.txt)
@@ -235,7 +237,9 @@ class TestCutoffBound:
 
     def check(self, kernel, betas, tol):
         betas = tuple(betas)
-        r1 = math.sqrt(sum(b * b for b in betas))
+        # as the library computes it: a root of the summed squares can be an
+        # ulp below, and pass the radius of a lattice summed as 0
+        r1 = math.hypot(*betas)
         assume(r1 <= 745.0)
         res = _modesum._direct_sums(betas, tol, kernels=(kernel,))
         radius = res.radius
@@ -284,6 +288,7 @@ class TestCutoffBound:
     )
     @example(kernel="log", betas=[720.0, 72.0, 72.0], tol=1e-10)
     @example(kernel="force", betas=[72.0, 720.0], tol=1e-10)
+    @example(kernel="force", betas=[60.0, 308.7005058657657, 668.75], tol=0.0009967413810998641)
     def test_subnormal_first_terms(self, kernel, betas, tol):
         # near r1 = 745 the first term, and tol times it, are subnormal
         self.check(kernel, betas, tol)
@@ -363,11 +368,52 @@ class TestDualForm:
         with pytest.raises(ConvergenceError, match="lattice points"):
             _modesum.lattice_sums((7.2e-5, 7.2e-5, 7.2e-5), 1e-10)
 
+    @pytest.mark.parametrize("betas", [(7.2e-21,) * 3, (1e-17, 1e-17)])
+    @pytest.mark.parametrize("sums", ["lattice_sums", "_direct_sums", "_dual_sums"])
+    def test_overflowing_first_terms_raise(self, sums, betas):
+        # exp(-r1) rounds to 1: the first terms are inf, and neither form
+        # can meet a target tol times them
+        with pytest.raises(ConvergenceError, match="needs about inf lattice points"):
+            getattr(_modesum, sums)(betas, 1e-10)
+
+    @pytest.mark.parametrize("betas", [(1e-8,) * 3, (1e-8, 1e-8)])
+    def test_force_alone_of_a_huge_lattice_raises_at_once(self, betas):
+        # the force's first term, 1/r1^2, exceeds 1/tol: its target's depth
+        # is negative, and the dual form's first cut of at least 4 would
+        # keep 4e8 rows
+        with pytest.raises(ConvergenceError, match="lattice points"):
+            _modesum.lattice_sums(betas, 1e-10, kernels=("force",))
+
+    def test_every_dual_plan_runs(self, monkeypatch):
+        # over the benchmark's thermo rows at the default budget, the form
+        # choice never plans a dual cut that it then does not evaluate
+        from casimirbox import _dualsum
+
+        calls = {"plan": 0, "evaluate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(_dualsum, name, counted(name, getattr(_dualsum, name)))
+        for sides in self.BOXES_UM.values():
+            geom = BoxGeometry(*(s * 1e-6 for s in sides))
+            for field in (SCALAR, EM):
+                for temperature in THERMO_TEMPS_LOW + THERMO_TEMPS_HIGH:
+                    thermal._evaluate_row(geom, field, ThermalPoint(temperature),
+                                          thermal.DEFAULT_TOL, DEFAULT_BUDGET)
+        assert calls["plan"] > 0
+        assert calls["plan"] == calls["evaluate"]
+
     def test_budget_below_the_direct_count_takes_the_dual_form(self):
-        # the 2 um cube at 5 kK: about 8e4 direct points, 7e3 dual terms
-        betas = ThermalPoint(5000.0).reduced(CUBE_2UM)
+        # the 2 um cube at 3 kK: about 1.6e4 direct points, whose cost is
+        # below the dual form's fixed cost, and 3.1e3 dual terms
+        betas = ThermalPoint(3000.0).reduced(CUBE_2UM)
         assert _modesum.lattice_sums(betas, 1e-10).form == "direct"
-        assert _modesum.lattice_sums(betas, 1e-10, max_points=20_000).form == "dual"
+        assert _modesum.lattice_sums(betas, 1e-10, max_points=10_000).form == "dual"
 
     @pytest.mark.parametrize("sides_um", [(1.0, 10.0, 10.0), (2.0, 2.0, 2.0)])
     def test_direct_cut_is_anchored_at_the_first_point(self, sides_um):
