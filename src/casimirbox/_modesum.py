@@ -1,7 +1,7 @@
 """Truncated sums over box mode lattices, in two exact representations.
 
-All thermal quantities reduce to sums of a kernel f(n, r) over the
-positive index lattice of d = 2 or 3 axes, with
+A row of `thermal` in its direct form reduces to sums of a kernel f(n, r)
+over the positive index lattice of d = 2 or 3 axes, with
 r = sqrt(sum_i (beta_i m_i)^2), where beta_i are the reduced inverse
 temperatures and n = m_1 is the index on the first axis.  Three kernels
 occur:
@@ -13,10 +13,11 @@ occur:
 One routine, `lattice_sums`, sums any of them together and returns each
 sum with a bound on its truncation error; `log_sum`, `force_sum` and
 `energy_sum` are its single-kernel views.  It has two forms of the same
-sums and takes whichever needs less work.
+sums and takes the direct one unless that is over budget.
 
-Direct form.  The lattice is enumerated in slabs of fixed n, exp(-r)
-evaluated once per point.  Each kernel is bounded by a decreasing
+Direct form.  The lattice is enumerated in slabs along the axis with the
+largest beta, the fewest slabs, exp(-r) evaluated once per point; the
+force kernel takes each point's n.  Each kernel is bounded by a decreasing
 g(r) = A r^k exp(-r), with A = beta_1^-s / (1 - exp(-r1)) and r1 = |beta|
 the radius of the first point: k = s = 0 for the log kernel
 (|ln(1 - u)| <= u / (1 - u)), k = 1, s = 0 for the energy kernel, and
@@ -38,22 +39,25 @@ every kernel has a fixed sign; `tighten` shrinks every bound reached there
 by a further factor.  Its cost grows like prod_i (R / beta_i), t^-d at
 high temperature.
 
-Dual form.  At high temperature the same sums are taken over the
-Poisson-resummed lattice of `_dualsum`, whose cost barely grows with T;
-it returns the same `LatticeSums`, and is imported only for a lattice
-large enough to consider it, since compiling it would cost every
-command-line call.
+Dual form.  The same sums taken over the Poisson-resummed lattice of
+`_dualsum`: the axis with the largest beta stays a direct sum and the
+others become images, so its cost barely grows as those betas shrink.  It
+returns the same `LatticeSums`, and is imported only for a lattice that
+needs it, since compiling it would cost every command-line call.
 
-Choice.  The direct form knows its work before it sums: its point count
-and slab count, weighed in measured units of one direct lattice point.
-The dual form is planned, and then runs, where that cost exceeds the dual
-form's fixed cost or the direct form is over budget, and its planned terms
-fit the budget; otherwise the direct form runs under its own budget.  The
-dual form's terms are not weighed: over the benchmark's lattices and those
-of two more boxes at 0.5-10 kK, the form picked was the faster on 73 of 79,
-and at most 1.4 times slower on the rest, all near the threshold.  Every
-lattice of the benchmark up to 300 K sums directly without planning.  Both
-forms return the same `LatticeSums`.  Sums are added with fsum over fixed
+Choice.  The direct form knows its work before it sums: its point count.
+It runs unless that count exceeds the budget; then the dual form is
+planned, and runs if its planned terms fit the budget.  Hot rows no longer
+reach either form: `thermal` takes its renormalized Matsubara form where
+the largest reduced temperature is small, which costs less than both and
+does not cancel against the subtractions.  What the dual form still serves
+is a wide box whose short side is cold and whose long sides are hot, such
+as the 1 um x 1 mm x 1 mm electromagnetic box at 300 K (t = 3.8 and
+0.0038): its triple lattice needs 7.2e6 direct points.  The dual form sums
+it directly along the cold axis and in images along the hot ones, without
+cancellation; the Matsubara form's images along the cold side would
+cancel against c0 there, and leave 2 ulps in a force whose thermal part
+F_x(T) - F_x(0) is 1/1300 of it.  Sums are added with fsum over fixed
 partial sums, so results are deterministic.
 """
 
@@ -74,15 +78,6 @@ _ORTHANT_BALL = {2: 0.7854, 3: 0.5236}
 
 #: (k, s) of each kernel's bound |f| <= beta_1^-s r^k exp(-r) / (1 - exp(-r1))
 _KERNEL_BOUNDS = {"log": (0, 0), "energy": (1, 0), "force": (1, 2)}
-
-#: The direct form's cost in units of one direct lattice point, its points
-#: plus _SLAB_COST per slab, and the dual form's fixed cost, planning and
-#: evaluation, by axis count: fitted to timed sums over the benchmark's
-#: boxes and two more (1x2x3, 5x1x3 um) at 1-10 kK, a direct point 16 ns, a
-#: slab 20 us and the dual form's fixed cost 0.6 ms (2 axes) or 1.4 ms
-#: (3 axes).  The dual form runs where the direct sum costs more than that.
-_SLAB_COST = 1300
-_DUAL_COST = {2: 39_000, 3: 89_000}
 
 #: The dual form is not planned for targets below exp(-_DUAL_MAX_DEPTH):
 #: its cut X would then pass the underflow of exp(-X), at temperatures
@@ -112,8 +107,9 @@ class LatticeSums(NamedTuple):
     scale: dict
 
 
-def _slab_sums(kernels, n: int, r: np.ndarray) -> list[float]:
-    """Each kernel summed over the points of slab n at radii r."""
+def _slab_sums(kernels, n, r: np.ndarray) -> list[float]:
+    """Each kernel summed over the points of a slab at radii r, with n the
+    index on the first axis: the slab's own, or each point's."""
     with np.errstate(under="ignore"):
         em = np.exp(-r)
         q = em / (1.0 - em) if kernels != ("log",) else None
@@ -123,8 +119,10 @@ def _slab_sums(kernels, n: int, r: np.ndarray) -> list[float]:
                 out.append(float(np.log1p(-em).sum()))
             elif name == "energy":
                 out.append(float((r * q).sum()))
-            else:
+            elif isinstance(n, int):
                 out.append(n * n * float((q / r).sum()))
+            else:
+                out.append(float((n * n * q / r).sum()))
     return out
 
 
@@ -176,8 +174,15 @@ def _less_squares(r2: float, betas) -> float:
 
 
 def _slabs(betas, radius: float):
-    """Yield (n, radii of slab n's points within radius) for n = 1, 2, ..."""
-    b1, *inner = betas
+    """Yield (n, radii of one slab's points within radius), slab by slab
+    along the axis with the largest beta, the fewest slabs (the first such
+    axis, so a cube keeps the first), for slab index 1, 2, ...; n is the
+    index on the first axis: the slab's own where that is the slab axis,
+    else each point's."""
+    top = max(range(len(betas)), key=betas.__getitem__)
+    order = [top] + [i for i in range(len(betas)) if i != top]
+    first = order.index(0)
+    b1, *inner = (betas[i] for i in order)
     r2cut = radius * radius
     # each inner axis with the axes after it, which take at least index 1
     axes = [(b, inner[j + 1:]) for j, b in enumerate(inner)]
@@ -205,7 +210,14 @@ def _slabs(betas, radius: float):
             # the last axis was cut at the first row's floor; mask the rest
             inside = r2 <= r2cut
             r = np.sqrt(r2[inside])
-        yield n, r
+        if first:
+            index = np.arange(1.0, r2.shape[first - 1] + 1.0)
+            if r2.ndim > 1:
+                shape = [-1 if d == first - 1 else 1 for d in range(r2.ndim)]
+                index = np.broadcast_to(index.reshape(shape), r2.shape)[inside]
+            yield index, r
+        else:
+            yield n, r
 
 
 class _DirectPlan(NamedTuple):
@@ -314,23 +326,21 @@ def lattice_sums(betas, tol: float, max_points: int = DEFAULT_BUDGET,
     """Sum the named kernels over the index lattice m_i >= 1 of 2 or 3 axes.
 
     One pass serves every kernel, in the direct form, or in the dual form
-    where the direct sum costs more than the dual form's fixed cost.  Each
-    kernel's tail bound is at most tol times its first term; with
-    tighten > 1 every bound reached falls by that factor too.
-    The bounds reached are returned with the sums.  `max_points` caps the
-    lattice points (direct) or terms (dual) of the form that runs.
+    where the direct form's points exceed `max_points`.  Each kernel's tail
+    bound is at most tol times its first term; with tighten > 1 every bound
+    reached falls by that factor too.  The bounds reached are returned with
+    the sums.  `max_points` caps the lattice points (direct) or terms (dual)
+    of the form that runs.
     """
     betas, kernels, targets = _checked(betas, tol, max_points, kernels, tighten)
     if not targets:
         return _zeros(betas, kernels)
     direct = _direct_plan(betas, kernels, targets, tighten)
-    direct_cost = direct.points + _SLAB_COST * direct.radius / betas[0]
     # the dual form keeps at least its rows n <= X / beta_K, its cut X at
     # least -ln(target) and 4 (`_dualsum._first_cut`), and its terms
     # exp(-u), u <= X, must not underflow
     depth = max(-min(targets.values()), 4.0)
-    if ((direct_cost > _DUAL_COST[len(betas)] or direct.points > max_points)
-            and depth / max(betas) <= min(max_points, _DUAL_MAX_ROWS)
+    if (direct.points > max_points and depth / max(betas) <= min(max_points, _DUAL_MAX_ROWS)
             and depth < _DUAL_MAX_DEPTH):
         from . import _dualsum
 

@@ -68,7 +68,7 @@ def _box_cells(args, geom: BoxGeometry, tp: ThermalPoint, quantity: str) -> list
     if quantity == "force":
         parts = thermal._force_parts(geom, field, tp, args.tol, args.max_shell)
         scale = a * a
-        total = math.fsum(parts)
+        total = thermal.force_x(geom, field, tp, args.tol, args.max_shell)
         cells = [_fmt(p * scale) for p in parts] + [_fmt(total * scale), _fmt(total * HBAR_C)]
     else:
         fe = thermal.free_energy(geom, field, tp, args.tol, args.max_shell)

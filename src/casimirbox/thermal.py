@@ -21,40 +21,61 @@ Force, internal energy and entropy come from exact term-wise derivatives
 of the same representation, the zero-temperature force from the analytic
 gradient of E0; nothing is differentiated numerically.
 
-Accuracy contract.  `free_energy`, `force_x`, `internal_energy` and
-`entropy` are views of one row per state point (T > 0), which sums each of
-the field's mode lattices once for the log, energy and force kernels, in one
-of `_modesum`'s two exact forms: the direct lattice sum, or its
-Poisson-resummed dual where the direct sum would cost more than the dual
-form's fixed cost.  That happens at high temperature, where the direct
-sum's cost grows like t^-3 and the dual's barely grows.  Both return tail
-bounds and the sum of |term| of each series, so the check below does not
-depend on the form.  Each printed total of F, U, S kT and the force is a
-sum of pieces, among them the mode series, and carries two errors:
+Forms.  `free_energy`, `force_x`, `internal_energy` and `entropy` are views
+of one row per state point (T > 0), taken in one of two exact forms by the
+largest reduced temperature t_i = 1/(2 a_i kT), measured against
+`_T_CROSS`, measured where the two cost about the same:
+
+* direct, for max t_i above it: the mode sums above, each of the field's
+  mode lattices summed once for the log, energy and force kernels by
+  `_modesum` (in its dual form where the lattice's points exceed the
+  budget).  The sums cancel against the subtractions by up to (kT a)^3,
+  and their cost grows like t^-3;
+* Matsubara, for max t_i up to it: F = kT [c1 ln(kT a) + c0] + kT rho(t)
+  (`_matsubara`), with c0 from zeta'(0) of the box and rho a sum of
+  Matsubara images below exp(-2 pi / max t_i).  Nothing cancels but the
+  pieces of c0, and the cost does not grow with T: at 1e32 K every image
+  underflows and the row is the classical law.
+
+Accuracy contract.  Each printed total of F, U, S kT and the force is a
+sum of pieces, among them series, and carries two errors:
 
 * roundoff, at most the total's floor, 8 eps times the sizes of its pieces
-  plus the sum of |term| of its series.  At high T the series cancel
-  against the subtractions by up to (kT a)^3, and the floor can exceed
-  tol times the total: for the 1 um cube at 160 kK (kT a = 70) it is
-  1.2e-9 kT in the electromagnetic U = kT/2.  The largest roundoff seen
-  was 3.2 eps times those sizes, over 104 rows of four boxes, both
-  fields, kT a = 10 to 100, against the classical law U = -c1 kT;
+  plus the sum of |term| of its series.  In the direct form the floor can
+  exceed tol times the total where the sums cancel; the largest roundoff
+  seen there was 3.2 eps times those sizes, over 104 rows of four boxes,
+  both fields, kT a = 10 to 100, against the classical law U = -c1 kT.  In
+  the Matsubara form it stays below 5e-14 of the total: 4e-14 and less for
+  the 1 um cube and the 1 x 10 x 10 um slab at 100 - 160 kK, which the
+  direct form left up to 2390 times over tol;
 * truncation, bounded by the tail bounds the sums return, and at most
-  tol times the total, or its floor where that is larger.  A row that
-  misses is summed once more with every tail bound cut by the worst ratio.
+  tol times the total, or its floor where that is larger.  A direct row
+  that misses is summed once more with every tail bound cut by the worst
+  ratio; the Matsubara form sums its images to eps |c1| / 8, inside the
+  floor.
 
 So a total is within max(tol |total|, floor) + floor of its exact value;
-below the floor's reach, within tol.  `thermal_raw` sums its series to
-tol alone.  E0's own series error is not in the check: its G pass is
-summed to tol, its R pass to double precision.  `max_points` caps every
-sum of a row, the G and R passes of E0 included.
+below the floor's reach, within tol.  `thermal_raw` is the direct mode sum,
+summed to tol alone; the rows' `EnergyBreakdown.thermal_raw` is their
+total less E0 and the subtractions, which in the Matsubara form it
+exceeds by about (kT a)^3, so its relative error stays near the total's.
+E0's own series error is not in the check: its G pass is summed to tol,
+its R pass and c0's sums to double precision.  `max_points` caps every sum
+of a row, the G and R passes of E0 and c0's sums included.
+
+Temperatures.  `ThermalPoint` takes T = 0 or T_MIN <= T <= T_MAX: up to
+T_MAX (1e32 K, about the Planck temperature) the (kT)^4 terms of the
+largest accepted box stay finite, and from T_MIN (1e-140 K) the (kT)^2
+term of the smallest stays a normal float, so no floor is 0.
 
 Caches.  Two one-entry caches, neither a setting: the last row, keyed on
 the exact (sides, field, T, tol, max_points), so F, the force, U and S
-asked for in turn cost one row; and the last box's E0 and zero-T force,
-keyed on (a, sorted sides, field, tol, max_points), so a temperature sweep
-evaluates them once.  Each output depends only on its own inputs, never on
-the order of the calls.
+asked for in turn cost one row; and the last box's temperature-independent
+parts, E0 with the zero-T force and, once a Matsubara row asks for them,
+c0 with dc0/da, keyed on (a, sorted sides, field, tol, max_points), so a
+temperature sweep evaluates each once and a sweep that stays in the direct
+form never computes c0.  Each output depends only on its own inputs, never
+on the order of the calls.
 """
 
 from __future__ import annotations
@@ -88,16 +109,25 @@ __all__ = [
 ]
 
 
+#: Accepted temperatures besides T = 0 [K].  Up to T_MAX the (kT)^4 terms
+#: of the largest accepted box stay finite (T_MAX is near the Planck
+#: temperature, 1.4e32 K); from T_MIN up the (kT)^2 term of the smallest
+#: stays a normal float, so every total has a nonzero roundoff floor.
+T_MIN = 1e-140
+T_MAX = 1e32
+
+
 @dataclass(frozen=True)
 class ThermalPoint:
-    """Absolute temperature with derived natural-unit quantities."""
+    """Absolute temperature with derived natural-unit quantities: T = 0 or
+    T_MIN <= T <= T_MAX kelvin."""
 
     temperature: float
 
     def __post_init__(self):
         t = self.temperature
-        if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0.0):
-            raise ValueError(f"temperature must be finite and >= 0 K, got {t!r}")
+        if not (isinstance(t, (int, float)) and (t == 0.0 or T_MIN <= t <= T_MAX)):
+            raise ValueError(f"temperature must be 0 or in [{T_MIN:g}, {T_MAX:g}] K, got {t!r}")
 
     @property
     def kt(self) -> float:
@@ -133,7 +163,9 @@ class SubtractionCoefficients:
 class EnergyBreakdown:
     """Free-energy pieces, each carrying the sign with which it enters.
 
-    total == e0_ren + thermal_raw + bb_term + alpha1_term + alpha2_term.
+    total == e0_ren + thermal_raw + bb_term + alpha1_term + alpha2_term, to
+    the rounding of the largest piece: in the Matsubara form the total is
+    summed first and thermal_raw is what the other pieces leave of it.
     """
 
     e0_ren: float
@@ -292,24 +324,44 @@ def _force_subtraction_terms(geom: BoxGeometry, field: FieldKind, tp: ThermalPoi
     return (-(PI**2) * kt**4 * b * c / 45.0, 0.0, PI * kt**2 / 12.0)
 
 
-#: One-entry memo of (key, E0, zero-T force) for `_zero_t`.
+#: One-entry memo of the last box's temperature-independent parts: (key,
+#: {"e0": (E0, zero-T force), "c0": `_classical`'s tuple}), each part
+#: computed when first asked for.
 _zero_t_memo = None
 
 
-def _zero_t(geom: BoxGeometry, field: FieldKind, tol: float, max_points: int):
-    """(E0, zero-T force) of the box, from one evaluation of E0 and its gradient.
+def _box_parts(geom: BoxGeometry, field: FieldKind, tol: float, max_points: int) -> dict:
+    """The memo's parts of this box, emptied when the box changes.
 
-    Memoized for the last geometry asked for, so a temperature sweep
-    evaluates them once.  E0 depends on the sides only through their sorted
-    order, the force also on which of them is a; the budget is part of the
-    key, so a budget too small for the G and R passes raises even after a
-    larger one succeeded.
+    E0 depends on the sides only through their sorted order, the force and
+    c0's a-derivative also on which of them is a; the budget is part of the
+    key, so a budget too small for a pass raises even after a larger one
+    succeeded.
     """
     global _zero_t_memo
     key = (geom.a, tuple(sorted(geom.sides)), field, tol, max_points)
     if _zero_t_memo is None or _zero_t_memo[0] != key:
-        _zero_t_memo = (key, *e0_and_force_x(geom, field, tol, max_points))
-    return _zero_t_memo[1:]
+        _zero_t_memo = (key, {})
+    return _zero_t_memo[1]
+
+
+def _zero_t(geom: BoxGeometry, field: FieldKind, tol: float, max_points: int):
+    """(E0, zero-T force) of the box, from one evaluation of E0 and its
+    gradient, memoized, so a temperature sweep evaluates them once."""
+    parts = _box_parts(geom, field, tol, max_points)
+    if "e0" not in parts:
+        parts["e0"] = e0_and_force_x(geom, field, tol, max_points)
+    return parts["e0"]
+
+
+def _classical(geom: BoxGeometry, field: FieldKind, tol: float, max_points: int):
+    """`_matsubara.classical` of the box, memoized with E0."""
+    parts = _box_parts(geom, field, tol, max_points)
+    if "c0" not in parts:
+        from . import _matsubara
+
+        parts["c0"] = _matsubara.classical(geom.sides, field, tol, max_points)
+    return parts["c0"]
 
 
 class _Row(NamedTuple):
@@ -318,15 +370,28 @@ class _Row(NamedTuple):
     free: EnergyBreakdown
     #: (zero-T force, thermal mode term, bb, alpha1, alpha2 terms)
     force_parts: tuple[float, float, float, float, float]
+    force: float
     internal: float
     entropy: float
+    #: the roundoff floors of F, U, S kT and the force
+    floors: tuple[float, float, float, float]
 
 
 #: Roundoff floor of a total, per unit of its pieces' sizes plus the sum of
-#: |term| of its mode series: each term and piece carries a few ulps of its
+#: |term| of its series: each term and piece carries a few ulps of its
 #: own (exp, log1p, K_0, K_1, and kT^4 against the betas), which no sum can
 #: remove.  See the accuracy contract above for the largest seen.
 _ROUNDOFF = 8.0 * sys.float_info.epsilon
+
+#: The row takes the Matsubara form where the largest reduced temperature
+#: t_i = 1/(2 a_i kT) is at most this, by field.  One row in ms, (direct,
+#: Matsubara), best of 40 on a 2-CPU VM: scalar, the 2 um cube (0.62, 0.99)
+#: at t = 0.4 and (1.82, 0.67) at 0.3, the 1 x 10 x 10 um slab (2.55, 0.40)
+#: and the 10 x 1 x 1 um bar (2.83, 0.62) at 0.5; em, whose images are
+#: elementary where the scalar's pairs need K_0 and K_1, the cube
+#: (1.11, 0.76), slab (0.94, 0.27) and bar (2.51, 0.32) at 1.5.  Above 1.5
+#: the images along a cold side cancel against c0 (see `_modesum`).
+_T_CROSS = {FieldKind.SCALAR_DIRICHLET: 0.5, FieldKind.ELECTROMAGNETIC: 1.5}
 
 #: One-entry cache of (key, row) for `_row`.
 _last_row = None
@@ -345,15 +410,50 @@ def _row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: float,
 
 def _evaluate_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: float,
                   max_points: int) -> _Row:
+    """The row in the Matsubara form where max t_i <= _T_CROSS, else in the
+    direct form."""
+    if max(tp.reduced_t(s) for s in geom.sides) <= _T_CROSS[field]:
+        return _matsubara_row(geom, field, tp, tol, max_points)
+    return _direct_row(geom, field, tp, tol, max_points)
+
+
+def _matsubara_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: float,
+                   max_points: int) -> _Row:
+    """F, the force, U and S in the Matsubara form (`_matsubara.row_pieces`).
+
+    Its images are summed to below every total's floor, so no total needs a
+    re-sum.  The totals are summed first; the breakdowns' thermal terms are
+    what the other pieces leave of them.
+    """
+    from . import _matsubara
+
+    checks = _matsubara.row_pieces(tp.kt, geom.a, tuple(tp.reduced_t(s) for s in geom.sides),
+                                   field, _classical(geom, field, tol, max_points), tol,
+                                   max_points)
+    e0_ren, f0 = _zero_t(geom, field, tol, max_points)
+    free, internal, entropy_kt, force = (math.fsum(pieces) for pieces, _ in checks)
+    floors = tuple(_ROUNDOFF * (math.fsum(map(abs, pieces)) + size) for pieces, size in checks)
+    bb, a1, a2 = _subtraction_terms(geom, field, tp)
+    force_terms = _force_subtraction_terms(geom, field, tp)
+    return _Row(
+        EnergyBreakdown(e0_ren, math.fsum([free, -e0_ren, -bb, -a1, -a2]), bb, a1, a2, free),
+        (f0, math.fsum([force, -f0] + [-x for x in force_terms]), *force_terms),
+        force, internal, entropy_kt / tp.kt, floors,
+    )
+
+
+def _direct_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: float,
+                max_points: int) -> _Row:
     """F, the force, U and S from one enumeration of each mode lattice.
 
     Each total T_q is a sum of pieces, among them a mode series whose
     truncation error is at most its prefactor times the multiplicity-
     weighted tail bounds (kT for F and U, kT for both series of S kT,
     pi^2 beta / a^3 for the force).  That error must be at most
-    tol |T_q|, or the total's roundoff floor where that is larger.  If any
-    total misses, the lattices are summed once more with every tail bound
-    cut by the worst ratio.
+    tol |T_q|, or the total's roundoff floor where that is larger; a check
+    whose error bound is 0 passes outright.  If any total misses, the
+    lattices are summed once more with every tail bound cut by the worst
+    ratio.
     """
     kt = tp.kt
     bb, a1, a2 = _subtraction_terms(geom, field, tp)
@@ -380,19 +480,21 @@ def _evaluate_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: fl
         ]
         floors = tuple(_ROUNDOFF * (math.fsum(map(abs, pieces)) + size)
                        for pieces, size, _ in checks)
-        worst = max(err / max(tol * abs(math.fsum(pieces)), floor)
+        worst = max(err / max(tol * abs(math.fsum(pieces)), floor) if err else 0.0
                     for (pieces, _, err), floor in zip(checks, floors))
         if worst <= 1.0 or tighten > 1.0:
             break
         # a little beyond the worst ratio: re-summed, the totals move by up
         # to their errors
         tighten = 1.01 * worst
-    free, internal, entropy_kt = (math.fsum(pieces) for pieces, _, _ in checks[:3])
+    free, internal, entropy_kt, force = (math.fsum(pieces) for pieces, _, _ in checks)
     return _Row(
         EnergyBreakdown(e0_ren, raw, bb, a1, a2, free),
         (f0, modes_f, *force_terms),
+        force,
         internal,
         entropy_kt / kt,
+        floors,
     )
 
 
@@ -407,7 +509,7 @@ def free_energy(
 
     The stored fields carry the signs with which they enter, so
     total = e0_ren + thermal_raw + bb_term + alpha1_term + alpha2_term
-    holds identically.
+    holds to the rounding of the largest piece (`EnergyBreakdown`).
     """
     if tp.temperature == 0.0:
         e0_ren = e0(geom, field, tol, max_points)
@@ -424,13 +526,15 @@ def _force_parts(
 ) -> tuple[float, float, float, float, float]:
     """(zero-T force, thermal mode term, bb term, alpha1 term, alpha2 term).
 
-    Thermal parts are the exact a-derivatives of the free-energy pieces,
-    taken term by term:
+    In the direct form the thermal parts are the exact a-derivatives of the
+    free-energy pieces, taken term by term:
 
       scalar: + (pi^2/a^3) sum n^2/(w (e^{b w}-1)) - pi^2 (kT)^4 bc/90
               + zeta(3)(kT)^3 (b+c)/(4 pi) - pi (kT)^2 / 24
       em:     + (pi^2/a^3) [sum_{nl} + sum_{np} + 2 sum_{nlp}] n^2/(w(e^{bw}-1))
               - pi^2 (kT)^4 bc/45 + pi (kT)^2 / 12
+
+    In the Matsubara form the mode term is the force less the other parts.
     """
     if tp.temperature == 0.0:
         return (e0_force_x(geom, field, tol, max_points), 0.0, 0.0, 0.0, 0.0)
@@ -445,7 +549,9 @@ def force_x(
     max_points: int = DEFAULT_BUDGET,
 ) -> float:
     """Casimir force -dF/da between the faces normal to the a axis [1/m^2]."""
-    return math.fsum(_force_parts(geom, field, tp, tol, max_points))
+    if tp.temperature == 0.0:
+        return e0_force_x(geom, field, tol, max_points)
+    return _row(geom, field, tp, tol, max_points).force
 
 
 def internal_energy(
@@ -457,8 +563,9 @@ def internal_energy(
 ) -> float:
     """Internal energy U = -T^2 d(F/T)/dT, by term-wise analytic derivative.
 
-    Each mode contributes w/(exp(beta w) - 1); a polynomial piece c (kT)^m
-    of the free energy contributes -(m-1) c (kT)^m.
+    In the direct form each mode contributes w/(exp(beta w) - 1) and a
+    polynomial piece c (kT)^m of the free energy -(m-1) c (kT)^m; in the
+    Matsubara form U = -c1 kT + kT sum_i t_i d rho/dt_i.
     """
     if tp.temperature <= 0.0:
         raise ValueError("internal_energy requires T > 0")
@@ -474,8 +581,10 @@ def entropy(
 ) -> float:
     """Entropy (U - F)/(k_B T), dimensionless in units of k_B.
 
-    Formed term by term, (modes_U - thermal_raw - 4 bb - 3 alpha1 - 2 alpha2)/kT,
-    where the pieces carry their free-energy signs; E0 cancels exactly.
+    Formed term by term, in the direct form
+    (modes_U - thermal_raw - 4 bb - 3 alpha1 - 2 alpha2)/kT, where the pieces
+    carry their free-energy signs and E0 cancels exactly; in the Matsubara
+    form -(c0 + c1 + c1 ln(kT a)) - rho + sum_i t_i d rho/dt_i.
     """
     if tp.temperature <= 0.0:
         raise ValueError("entropy requires T > 0")
@@ -483,15 +592,28 @@ def entropy(
 
 
 def asymptotic_thermal(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint) -> float:
-    """High-temperature polynomial asymptote of the raw thermal correction.
+    """High-temperature asymptote of the raw thermal correction [1/m],
+
+        kT [c1 ln(kT a) + c0] - E0 - bb_term - alpha1_term - alpha2_term,
+
+    the polynomial being
 
     scalar: -pi (kT)^2 (a+b+c)/24 + zeta(3)(ab+bc+ca)(kT)^3/(4 pi)
             - pi^2 (kT)^4 abc / 90
     em:     +pi (kT)^2 (a+b+c)/12 - pi^2 (kT)^4 abc / 45
 
-    Logarithmic remainder terms are omitted (their coefficients are not
-    fixed here), so comparisons against thermal_raw are ratio tests.
+    with c1 = 1/8 (scalar) and -1/2 (em) and c0 the box's classical
+    constant (`_matsubara`).  thermal_raw minus it is the Matsubara images'
+    kT rho(t), exponentially small in 1/t: of order
+    kT (t^2 / (t_a t_b t_c)) exp(-2 pi/t) at the largest t_i = t.  c0 and
+    E0 are taken at the default tolerance and budget.
     """
     if tp.temperature <= 0.0:
         raise ValueError("asymptotic_thermal requires T > 0")
-    return -math.fsum(_subtraction_terms(geom, field, tp))
+    from . import _matsubara
+
+    kt = tp.kt
+    c0 = _classical(geom, field, DEFAULT_TOL, DEFAULT_BUDGET)[0]
+    e0_ren = _zero_t(geom, field, DEFAULT_TOL, DEFAULT_BUDGET)[0]
+    return math.fsum([kt * _matsubara.C1[field] * math.log(kt * geom.a), kt * c0, -e0_ren]
+                     + [-x for x in _subtraction_terms(geom, field, tp)])

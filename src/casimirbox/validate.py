@@ -618,6 +618,21 @@ def run_checks(name_filter: str | None = None, fixtures_path=None) -> list[Check
         lambda: oracle_thermo_consistency(box2um, FieldKind.SCALAR_DIRICHLET, 50.0).max_deviation,
     )
 
+    # the box's classical limit at t = 0.05, unit cube: U = -c1 kT,
+    # F = kT (c1 ln(kT a) + c0) and L F_x = -c1 kT / 3, up to images below
+    # exp(-2 pi / t) = 4e-55; tol is the rows' contract (measured: c0 within
+    # 5e-14 of its 14-digit pin, the rest within 5e-16)
+    cube_t005 = ThermalPoint(_temperature_for_t(1.0, 0.05))
+    kt = cube_t005.kt
+    for field, (c1, c0) in CLASSICAL_PINS.items():
+        add(f"classical:cube_c1_{field.value}", 1e-10,
+            lambda field=field, c1=c1: (c1, -thermal.internal_energy(cube, field, cube_t005) / kt))
+        add(f"classical:cube_c0_{field.value}", 1e-10,
+            lambda field=field, c1=c1, c0=c0: (
+                c0, thermal.free_energy(cube, field, cube_t005).total / kt - c1 * math.log(kt)))
+        add(f"classical:cube_force_law_{field.value}", 1e-10,
+            lambda field=field, c1=c1: (-c1 / 3.0, thermal.force_x(cube, field, cube_t005) / kt))
+
     # plates: low-temperature expansion and classical limit
     t10 = _plates_cfg_for_t(1e-6, 10.0)
     f_expansion = -(PI**2) / (720.0 * t10.separation**3) * (
@@ -638,10 +653,23 @@ def run_checks(name_filter: str | None = None, fixtures_path=None) -> list[Check
     return results
 
 
+#: (c1, c0) of the unit cube's classical limit F = kT (c1 ln(kT a) + c0):
+#: c1 minus the heat trace's constant term, c0 as the direct-form rows at
+#: 3 - 10 kK give it, to 1e-13
+CLASSICAL_PINS = {
+    FieldKind.SCALAR_DIRICHLET: (0.125, 0.19353203225868),
+    FieldKind.ELECTROMAGNETIC: (-0.5, -0.52830442627597),
+}
+
+
+def _temperature_for_t(length: float, t: float) -> float:
+    """Temperature [K] at which a side or gap of this length has reduced t."""
+    return HBAR_C / (2.0 * length * K_BOLTZMANN * t)
+
+
 def _plates_cfg_for_t(separation: float, t: float) -> plates.PlatesConfig:
     """PlatesConfig at the temperature that realizes reduced t for this gap."""
-    temperature = HBAR_C / (2.0 * separation * K_BOLTZMANN * t)
-    return plates.PlatesConfig(separation, temperature)
+    return plates.PlatesConfig(separation, _temperature_for_t(separation, t))
 
 
 def _plates_pressure_reference(cfg: plates.PlatesConfig) -> float:

@@ -337,7 +337,8 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert len(lines) == 4
         for line in lines[1:]:
-            assert "tail bound" in line or "mode sum" in line
+            # t = 0.07: the Matsubara form, whose c0 sums exceed the budget
+            assert line.endswith("budget 10")
 
 
 class TestExitCodes:
@@ -397,19 +398,28 @@ class TestExitCodes:
         assert out == ""
 
 
-    def test_overflowing_first_mode_exits_3(self):
-        # a 1 m cube at 1e18 K: exp(-r1) rounds to 1 and the first terms
-        # overflow, which no budget covers
+    def test_meter_cube_at_1e18_kelvin_returns(self):
+        # a 1 m cube at 1e18 K: the mode sums' first terms overflow, but the
+        # row takes the Matsubara form, whose images all underflow, and is
+        # the classical law a F = a kT (c1 ln(kT a) + c0)
         box = ["--field", "em", "--a", "1e6", "--b", "1e6", "--c", "1e6"]
-        status, out, err = run_cli(["free-energy", *box, "--temp", "1e18"])
-        assert (status, out) == (3, "")
-        assert "convergence error: box mode sum" in err
+        status, out, _ = run_cli(["free-energy", *box, "--temp", "1e18"])
+        assert status == 0
+        akt = ThermalPoint(1e18).kt
+        law = akt * (-0.5 * math.log(akt) - 0.52830442627597)
+        # to the 12 digits printed
+        assert float(row_as_dict(out)["total_dimless"]) == pytest.approx(law, rel=1e-11, abs=0)
         status, out, _ = run_cli(["sweep", "--quantity", "free-energy", *box, "--var", "temp",
                                   "--from", "1e16", "--to", "1e18", "--points", "2", "--log"])
         assert status == 0
-        rows = out.strip().splitlines()
-        assert len(rows) == 3
-        assert row_as_dict(out, 2)["error"].startswith("box mode sum")
+        assert [row_as_dict(out, row)["error"] for row in (1, 2)] == ["", ""]
+
+    @pytest.mark.parametrize("temperature", ["1e-200", "1e33", "1.7e308"])
+    def test_temperature_outside_the_range_exits_2(self, temperature):
+        box = ["--field", "em", "--a", "1", "--b", "1", "--c", "1"]
+        status, out, err = run_cli(["free-energy", *box, "--temp", temperature])
+        assert (status, out) == (2, "")
+        assert "temperature must be 0 or in" in err
 
 
 class TestBudget:

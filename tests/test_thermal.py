@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from casimirbox import _modesum, thermal, validate
+from casimirbox import _matsubara, _modesum, thermal, validate
 from casimirbox.boxzero import BoxGeometry, FieldKind, e0, e0_force_x
 from casimirbox.errors import DEFAULT_BUDGET, ConvergenceError
 from casimirbox.plates import PlatesConfig, plates_pressure
@@ -33,9 +33,8 @@ SCALAR = FieldKind.SCALAR_DIRICHLET
 EM = FieldKind.ELECTROMAGNETIC
 
 CUBE_2UM = BoxGeometry(2e-6, 2e-6, 2e-6)
-#: the benchmark's temperatures up to 300 K (at 500 K the bar's two pair
-#: lattices, 33 slabs of one to three points, already cost less in the dual
-#: form)
+#: the benchmark's temperatures up to 300 K, where every row of its boxes
+#: sums its mode lattices directly
 THERMO_TEMPS_LOW = (10.0, 20.0, 50.0, 100.0, 200.0, 300.0)
 #: and the benchmark's temperatures above 300 K
 THERMO_TEMPS_HIGH = (500.0, 1000.0, 2000.0, 3000.0, 5000.0, 10000.0)
@@ -64,6 +63,37 @@ class TestThermalPoint:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ThermalPoint(-1.0)
+
+    @pytest.mark.parametrize("field", [SCALAR, EM])
+    @pytest.mark.parametrize("temperature", [0.0, 5e-324, 1e-300, 1e-30, 1e30, 1e300, 1.7e308])
+    def test_any_temperature_returns_or_is_rejected(self, field, temperature):
+        # every quantity is finite, or the temperature lies outside the
+        # documented range; 1e-300 K once divided by a zero error bound and
+        # 1e30 K once asked for inf lattice points
+        cube = BoxGeometry(1e-6, 1e-6, 1e-6)
+        if not (temperature == 0.0 or thermal.T_MIN <= temperature <= thermal.T_MAX):
+            with pytest.raises(ValueError, match="temperature must be 0 or in"):
+                ThermalPoint(temperature)
+            return
+        tp = ThermalPoint(temperature)
+        values = [free_energy(cube, field, tp).total, force_x(cube, field, tp)]
+        if temperature > 0.0:
+            values += [internal_energy(cube, field, tp), entropy(cube, field, tp)]
+        assert all(math.isfinite(v) for v in values)
+
+    @pytest.mark.parametrize("field", [SCALAR, EM])
+    @pytest.mark.parametrize("sides", [(1e-26,) * 3, (1e50,) * 3])
+    def test_range_ends_stay_finite(self, field, sides):
+        # the (kT)^4 terms of the largest box at T_MAX, and the (kT)^2
+        # terms, with their nonzero floors, of the smallest at T_MIN
+        box = BoxGeometry(*sides)
+        for temperature in (thermal.T_MIN, thermal.T_MAX):
+            tp = ThermalPoint(temperature)
+            row = thermal._evaluate_row(box, field, tp, 1e-10, DEFAULT_BUDGET)
+            free = row.free
+            assert all(math.isfinite(v) for v in (free.total, free.thermal_raw, free.bb_term,
+                                                  row.force, row.internal, row.entropy))
+            assert min(row.floors) > 0.0
 
 
 class TestModeFrequency:
@@ -385,8 +415,10 @@ class TestDualForm:
             _modesum.lattice_sums(betas, 1e-10, kernels=("force",))
 
     def test_every_dual_plan_runs(self, monkeypatch):
-        # over the benchmark's thermo rows at the default budget, the form
-        # choice never plans a dual cut that it then does not evaluate
+        # over the benchmark's thermo rows at the default budget, and the
+        # wide boxes whose triple lattice exceeds it at 300 K, the form
+        # choice never plans a dual cut that it then does not evaluate; the
+        # benchmark's rows plan none, the Matsubara form taking the hot ones
         from casimirbox import _dualsum
 
         calls = {"plan": 0, "evaluate": 0}
@@ -405,15 +437,39 @@ class TestDualForm:
                 for temperature in THERMO_TEMPS_LOW + THERMO_TEMPS_HIGH:
                     thermal._evaluate_row(geom, field, ThermalPoint(temperature),
                                           thermal.DEFAULT_TOL, DEFAULT_BUDGET)
+        assert calls["plan"] == 0
+        for side in (1000e-6, 3000e-6):
+            thermal._evaluate_row(BoxGeometry(1e-6, side, side), EM, TP300,
+                                  thermal.DEFAULT_TOL, DEFAULT_BUDGET)
         assert calls["plan"] > 0
         assert calls["plan"] == calls["evaluate"]
 
     def test_budget_below_the_direct_count_takes_the_dual_form(self):
-        # the 2 um cube at 3 kK: about 1.6e4 direct points, whose cost is
-        # below the dual form's fixed cost, and 3.1e3 dual terms
+        # the 2 um cube at 3 kK: about 1.6e4 direct points, within the
+        # default budget, and 3.1e3 dual terms
         betas = ThermalPoint(3000.0).reduced(CUBE_2UM)
         assert _modesum.lattice_sums(betas, 1e-10).form == "direct"
         assert _modesum.lattice_sums(betas, 1e-10, max_points=10_000).form == "dual"
+
+    def test_slabs_run_along_the_largest_beta(self, monkeypatch):
+        # the 10 x 1 x 1 um bar's (a, b) lattice at 500 K: 33 slabs of one to
+        # three points along a, 3 along b at tol 1e-12; the force kernel then
+        # takes each point's own index on a
+        betas = (1.4390, 14.390)
+        calls = []
+        slab_sums = _modesum._slab_sums
+
+        def spy(kernels, n, r):
+            calls.append(len(r))
+            return slab_sums(kernels, n, r)
+
+        monkeypatch.setattr(_modesum, "_slab_sums", spy)
+        res = _modesum.lattice_sums(betas, 1e-12)
+        # one call sums the first term alone, for the tail bounds' targets
+        assert len(calls) - 1 == int(res.radius / betas[1]) == 3
+        for kernel in ("force", "energy"):
+            direct = brute_mode_sum(kernel, betas, 40)
+            assert res.sums[kernel] == pytest.approx(direct, rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("sides_um", [(1.0, 10.0, 10.0), (2.0, 2.0, 2.0)])
     def test_direct_cut_is_anchored_at_the_first_point(self, sides_um):
@@ -422,6 +478,98 @@ class TestDualForm:
         betas = ThermalPoint(10.0).reduced(BoxGeometry(*(s * 1e-6 for s in sides_um)))
         res = _modesum.lattice_sums(betas, 1e-10)
         assert res.radius - math.hypot(*betas) < 30.0
+
+
+class TestMatsubaraForm:
+    """The renormalized Matsubara form of a row against the direct form,
+    and its classical part."""
+
+    BOXES_UM = {"cube": (2.0, 2.0, 2.0), "slab": (1.0, 10.0, 10.0), "bar": (10.0, 1.0, 1.0)}
+
+    @staticmethod
+    def totals(row, tp):
+        return (row.free.total, row.internal, row.entropy * tp.kt, row.force)
+
+    @pytest.mark.parametrize("box", list(BOXES_UM))
+    @pytest.mark.parametrize("field", [SCALAR, EM])
+    def test_overlap_agrees_with_the_direct_form(self, field, box):
+        # max t_i from 0.5 down to 0.1: F, U, S and the force agree to 1e-10
+        # of each total (measured: 9.3e-12 at most, the slab's U at t = 0.11,
+        # where the direct form cancels 1900-fold)
+        g = BoxGeometry(*(s * 1e-6 for s in self.BOXES_UM[box]))
+        shortest = min(g.sides)
+        for t in (0.5, 0.3, 0.2, 0.1):
+            tp = ThermalPoint(HBAR_C / (2.0 * shortest * K_BOLTZMANN * t))
+            matsubara = self.totals(thermal._matsubara_row(g, field, tp, 1e-10, DEFAULT_BUDGET), tp)
+            direct = self.totals(thermal._direct_row(g, field, tp, 1e-12, 50_000_000), tp)
+            for m, d in zip(matsubara, direct):
+                assert abs(m - d) <= 1e-10 * abs(d)
+
+    @pytest.mark.parametrize("field, c1, c0", [(SCALAR, 0.125, 0.19353203225868),
+                                               (EM, -0.5, -0.52830442627597)])
+    def test_unit_cube_classical_constants(self, field, c1, c0):
+        # c1 is minus the heat trace's constant term; c0 as measured from
+        # the rows at 3 - 10 kK to 1e-13
+        assert _matsubara.C1[field] == c1
+        cube = BoxGeometry(1.0, 1.0, 1.0)
+        assert thermal._classical(cube, field, 1e-10, DEFAULT_BUDGET)[0] == pytest.approx(
+            c0, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("field", [SCALAR, EM])
+    def test_cube_force_law(self, field):
+        # -dF/da of kT (c1 ln(kT a) + c0) for a cube is -c1 kT/(3 L), up to
+        # images below exp(-2 pi/t); the direct form was 3.6e-10 off at
+        # t = 3.8e-3
+        side = 2e-6
+        cube = BoxGeometry(side, side, side)
+        for t in (0.1, 0.05, 0.01, 3.8e-3):
+            tp = ThermalPoint(HBAR_C / (2.0 * side * K_BOLTZMANN * t))
+            law = -_matsubara.C1[field] / 3.0
+            assert side * force_x(cube, field, tp) / tp.kt == pytest.approx(law, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("field", [SCALAR, EM])
+    @pytest.mark.parametrize("sides_um", [(1.0, 1.0, 1.0), (1.0, 10.0, 10.0)])
+    def test_hot_rows_end_within_tol(self, field, sides_um):
+        # at 100 - 160 kK the direct form's floors reached 2390 times
+        # tol |total| (the slab's U at 160 kK)
+        g = BoxGeometry(*(s * 1e-6 for s in sides_um))
+        for temperature in (100e3, 130e3, 160e3):
+            tp = ThermalPoint(temperature)
+            row = thermal._evaluate_row(g, field, tp, 1e-10, DEFAULT_BUDGET)
+            for floor, total in zip(row.floors, self.totals(row, tp)):
+                assert floor <= 1e-10 * abs(total)
+
+    def test_sweep_computes_c0_once_and_sums_no_mode_lattice(self, monkeypatch):
+        calls = {"zeta_prime": 0, "lattice_sums": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(_matsubara, "zeta_prime", counted("zeta_prime", _matsubara.zeta_prime))
+        monkeypatch.setattr(_modesum, "lattice_sums",
+                            counted("lattice_sums", _modesum.lattice_sums))
+        monkeypatch.setattr(thermal, "_zero_t_memo", None)
+        monkeypatch.setattr(thermal, "_last_row", None)
+        g = BoxGeometry(2e-6, 2e-6, 2e-6)
+        for field in (SCALAR, EM):
+            calls.update(zeta_prime=0, lattice_sums=0)
+            # the benchmark's temperatures: max t_i = 0.57 at 1 kK, 0.29 at 2 kK
+            for temperature in THERMO_TEMPS_LOW + THERMO_TEMPS_HIGH:
+                tp = ThermalPoint(temperature)
+                before = calls["lattice_sums"]
+                free_energy(g, field, tp)
+                force_x(g, field, tp)
+                if tp.reduced_t(g.a) <= 0.5:
+                    assert calls["lattice_sums"] == before
+            assert calls["zeta_prime"] == 1
+        # a sweep that stays in the direct form never computes c0
+        calls.update(zeta_prime=0)
+        for temperature in THERMO_TEMPS_LOW:
+            free_energy(BoxGeometry(1e-6, 2e-6, 3e-6), EM, ThermalPoint(temperature))
+        assert calls["zeta_prime"] == 0
 
 
 class TestClassicalLimit:
@@ -771,18 +919,23 @@ class TestInternalEnergyAndEntropy:
 
 class TestAsymptote:
     def test_scalar_direct_substitution(self):
-        # unit cube at kT = 10 natural units
+        # unit cube at kT = 10 natural units: the polynomial, the classical
+        # law with the pinned c0, and -E0
         g = BoxGeometry(1.0, 1.0, 1.0)
         tp = tp_for_akt(1.0, 10.0)
         kt = tp.kt
-        expected = -PI * kt**2 * 3.0 / 24.0 + ZETA3 * 3.0 * kt**3 / (4.0 * PI) - PI**2 * kt**4 / 90.0
+        expected = math.fsum([-PI * kt**2 * 3.0 / 24.0, ZETA3 * 3.0 * kt**3 / (4.0 * PI),
+                              -PI**2 * kt**4 / 90.0, kt * (0.125 * math.log(kt) + 0.19353203225868),
+                              -e0(g, SCALAR)])
         assert asymptotic_thermal(g, SCALAR, tp) == pytest.approx(expected, rel=1e-13)
 
     def test_em_has_no_cubic_term(self):
         g = BoxGeometry(1.0, 2.0, 3.0)
         tp = tp_for_akt(1.0, 5.0)
         kt = tp.kt
-        expected = PI * kt**2 * 6.0 / 12.0 - PI**2 * kt**4 * 6.0 / 45.0
+        c0 = thermal._classical(g, EM, thermal.DEFAULT_TOL, DEFAULT_BUDGET)[0]
+        expected = math.fsum([PI * kt**2 * 6.0 / 12.0, -PI**2 * kt**4 * 6.0 / 45.0,
+                              kt * (-0.5 * math.log(kt) + c0), -e0(g, EM)])
         assert asymptotic_thermal(g, EM, tp) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("field", [SCALAR, EM])
@@ -795,6 +948,18 @@ class TestAsymptote:
             devs.append(abs(ratio - 1.0))
         assert devs[0] > devs[1] > devs[2]
         assert devs[-1] < 0.01
+
+    @pytest.mark.parametrize("field", [SCALAR, EM])
+    def test_raw_less_asymptote_is_exponentially_small(self, field):
+        # the difference is kT rho(t), whose nearest images are of order
+        # (t^2 / (t_a t_b t_c)) exp(-2 pi/t) at the largest t = t_a; the
+        # direct mode sum is summed to 1e-13, below them
+        g = BoxGeometry(1.0, 2.0, 3.0)
+        for t in (0.5, 0.35, 0.25):
+            tp = tp_for_akt(1.0, 1.0 / (2.0 * t))
+            diff = thermal_raw(g, field, tp, 1e-13) - asymptotic_thermal(g, field, tp)
+            image = tp.kt * (6.0 / t) * math.exp(-2.0 * PI / t)
+            assert 0.01 * image <= abs(diff) <= 10.0 * image
 
 
 class TestSubtractionCompleteness:

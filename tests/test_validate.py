@@ -201,6 +201,21 @@ class TestRunChecks:
         failed = [r.name for r in results if not r.passed]
         assert failed == ["fixture:lattice_g_at_1"]
 
+    @pytest.mark.parametrize("field", [FieldKind.SCALAR_DIRICHLET, FieldKind.ELECTROMAGNETIC])
+    @pytest.mark.parametrize("pin", [0, 1], ids=["c1", "c0"])
+    def test_perturbed_classical_pin_fails(self, monkeypatch, field, pin):
+        # each pin moved by 10 times its checks' tolerance of 1e-10
+        pins = dict(validate.CLASSICAL_PINS)
+        moved = list(pins[field])
+        moved[pin] *= 1.0 + 1e-9
+        pins[field] = tuple(moved)
+        monkeypatch.setattr(validate, "CLASSICAL_PINS", pins)
+        results = validate.run_checks(name_filter="classical:")
+        failed = sorted(r.name for r in results if not r.passed)
+        # c0 is read off F through c1 ln(kT a), with ln(kT a) = 2.3
+        moved_checks = ("c0", "c1", "force_law") if pin == 0 else ("c0",)
+        assert failed == [f"classical:cube_{name}_{field.value}" for name in moved_checks]
+
     def test_filter(self):
         results = validate.run_checks(name_filter="plates")
         assert results
