@@ -37,8 +37,8 @@ with H(r) = sum_{n>=1} ln(1 - exp(-2 pi n r)), the primed sum over
 (n, m) in Z^2 minus 0, x = L/s1, y = L/s2 >= 1 for the two shorter sides
 s1 <= s2 = p, q = s1, and G `boxzero`'s lattice sum.  Every series falls by
 exp(-2 pi) or faster per term; each is summed to double precision, the log
-sums on the same grid as the images below.  The gradient in the sides
-follows term by term.
+sums by `_modesum._image_sums` as the images below are.  The gradient in
+the sides follows term by term.
 
 Images.  rho is the n >= 1 part with the j = 0 images removed:
 
@@ -49,27 +49,27 @@ u = |(j_i / t_i)|, nu = |S|/2.  K_1/2 and K_3/2 are elementary and their
 sums over m closed forms, so each image j contributes a kernel of
 r = 2 pi u alone; K_1 (the scalar's pairs) is summed over m.  Every term
 is below exp(-r), r >= 2 pi / max t_i, so rho is exponentially small at
-high T.  Z^S minus 0 splits into the positive orthants N^Q of its faces
-Q, 2^|Q| copies each; `_cut` bounds what lies beyond a radius in all of
-them at once, from `_modesum`'s integral test and an envelope
-A r^k exp(-r) of the kernel and its derivative together, and the images
-are cut where that reaches eps |c1| / 8 in rho.  The sums over m stop
-within eps/4 of each image's total.  So rho, and t_i d rho/dt_i for U, S
-and the force, are exact to below every total's roundoff floor.  The
-images kept grow like prod_i t_i: 95 (em) and 146 (scalar) for a cube at
-t = 0.5, 6 and 12 at t = 0.15, none below t = 0.12.
+high T.  Each product's images are summed by `_modesum._image_sums`, cut
+by its integral test with an envelope A r^k exp(-r) of the kernel and its
+derivative together (`_envelope`) where the rest reaches eps |c1| / 8 in
+rho.  The sums over m stop within eps/4 of each image's total.  So rho,
+and t_i d rho/dt_i for U, S and the force, are exact to below every
+total's roundoff floor.  The images kept grow like prod_i t_i: 59 (em)
+and 101 (scalar) for a cube at t = 0.5, 6 and 12 at t = 0.15, none below
+t = 0.13.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 
-from .boxzero import FieldKind, _g_pass
-from .errors import budget_error
+from ._modesum import _image_sums
+from .boxzero import FieldKind, _g_pass, _k32
 from .specfun import PI, ZETA3, bessel_k
 
 __all__ = ["C1", "zeta_prime", "classical", "images", "row_pieces"]
@@ -86,76 +86,33 @@ _HEAT_TRACE = {
 #: c1, minus the heat trace's constant term
 C1 = {FieldKind.SCALAR_DIRICHLET: 0.125, FieldKind.ELECTROMAGNETIC: -0.5}
 
-#: The constants of `_kernels` for one, two and three axes: 2 sqrt(pi),
-#: 8 pi and 8 pi^(3/2), times 2 pi per power of 1/u = 2 pi / r
+#: The constants that `_kernels` leaves out for one, two and three axes:
+#: 2 sqrt(pi), 8 pi and 8 pi^(3/2), times 2 pi per power of 1/u = 2 pi / r
 _PREFACTOR = {1: 4.0 * PI**1.5, 2: 16.0 * PI**2, 3: 32.0 * PI**3.5}
-
-
-def _cut(size: int, k: int, amp: float, r1: float, level: float):
-    """The radius R >= r1 beyond which the points j of Z^size minus 0, at
-    radii r = |beta j| with every beta_i >= r1, add at most exp(level) to a
-    sum of terms at most A r^k exp(-r); None if the bound at r1, on every
-    point, already does.
-
-    The points lie in the orthants N^Q of the faces Q, 2^|Q| each.  With
-    `_modesum`'s integral-test bound on an orthant of d axes,
-    (pi/2) A [R^k e^-R (R^d - (R - r1)^d)/d + Gamma(d + k, R)] / prod beta,
-    prod beta >= r1^d, R^d - (R - r1)^d <= d R^(d-1) r1 and
-    Gamma(n, R) <= n R^(n-1) e^-R for R >= n - 1, the faces together add at
-    most (pi/2) A R^k (1 + (size + k)/R) ((1 + 2R/r1)^size - 1) e^-R.
-    """
-    def log_bound(radius: float) -> float:
-        return (math.log(PI / 2.0 * amp) + k * math.log(radius) + math.log1p((size + k) / radius)
-                + math.log((1.0 + 2.0 * radius / r1) ** size - 1.0) - radius)
-
-    radius = max(r1, size + k - 1.0)
-    if radius == r1 and log_bound(radius) <= level:
-        return None
-    # ln of the bound falls by about 1 - (size + k)/R per unit of R; a step
-    # that falls short is taken again
-    while (excess := log_bound(radius) - level) > 0.0:
-        rate = 1.0 - (size + k) / radius
-        radius += excess / rate if rate > 0.5 else excess + 1.0
-    return radius
-
-
-def _grid(betas: np.ndarray, radius: float, tol: float, max_points: int):
-    """(beta_i j_i per axis, r = |beta j|, 2^(nonzero j_i)) of the points
-    j >= 0, j != 0, with r <= radius: each stands for its sign copies."""
-    last = np.floor(radius / betas)
-    if np.prod(last + 1.0) > max_points:
-        raise budget_error("box Matsubara form", tol, f"needs about {np.prod(last + 1.0):.3e} "
-                           "lattice points", max_points)
-    grids = np.meshgrid(*[b * np.arange(n + 1.0) for b, n in zip(betas, last)], indexing="ij")
-    comps = np.stack([g.ravel() for g in grids], axis=1)[1:]
-    r = np.sqrt((comps * comps).sum(axis=1))
-    inside = r <= radius
-    comps, r = comps[inside], r[inside]
-    return comps, r, 2.0 ** (comps > 0.0).sum(axis=1)
 
 
 # ----------------------------------------------------------------------
 # classical part
 
 
+def _log_kernel(r: np.ndarray):
+    """(ln(1 - e^-r), r d/dr of it)."""
+    with np.errstate(over="ignore"):
+        return np.log1p(-np.exp(-r)), r / np.expm1(r)
+
+
 def _log_sum(ratios, tol: float, max_points: int):
     """(L, x_i dL/dx_i per axis) for L = sum over j in Z^d minus 0 of
     ln(1 - exp(-2 pi |(j_i x_i)|)), every x_i >= 1, to eps/8 of its first
     term: |ln(1 - e^-r)| and r/(e^r - 1) are at most h (1 + r) e^-r."""
-    betas = 2.0 * PI * np.asarray(ratios, dtype=float)
-    r1 = float(betas.min())
+    betas = [2.0 * PI * x for x in ratios]
+    r1 = min(betas)
     if r1 > 745.0:
         return 0.0, [0.0] * len(betas)  # every term underflows
     h = 1.0 / -math.expm1(-r1)
-    radius = _cut(len(betas), 1, h * (1.0 + 1.0 / r1), r1, math.log(0.125 * _EPS) - r1)
-    if radius is None:
-        return 0.0, [0.0] * len(betas)
-    comps, r, copies = _grid(betas, radius, tol, max_points)
-    with np.errstate(over="ignore"):
-        energy = r / np.expm1(r)
-    # r d/dr of ln(1 - e^-r) is r/(e^r - 1), and x_i dr/dx_i = (beta_i j_i)^2 / r
-    slopes = (copies * energy / (r * r)) @ (comps * comps)
-    return float((copies * np.log1p(-np.exp(-r))).sum()), slopes.tolist()
+    value, slopes, _, _ = _image_sums("c0 log sum", betas, _log_kernel, 1, h * (1.0 + 1.0 / r1),
+                                      math.log(0.125 * _EPS) - r1, tol, max_points)
+    return value, slopes
 
 
 def _z2_terms(sides, i: int, k: int, tol: float, max_points: int) -> list:
@@ -237,27 +194,25 @@ def _pair_terms(r1: float) -> int:
     return m
 
 
-def _kernels(size: int, r: np.ndarray, r1: float):
+def _kernels(size: int, r1: float, r: np.ndarray):
     """(Psi, u dPsi/du) of an image at radii r = 2 pi u >= r1, summed over m.
 
-    Psi = prod_i (2 sqrt(pi) t_i) times the image's part of rho's inner sum:
-    one axis, 2 sqrt(pi) sum_m exp(-m r)/u; two, 8 pi sum_m m K_1(m r)/u;
-    three, 8 pi^(3/2) sum_m m exp(-m r) (1 + 1/(m r))/u^2.
+    Psi = prod_i (2 sqrt(pi) t_i) / _PREFACTOR[size] times the image's part
+    of rho's inner sum: one axis, 2 sqrt(pi) sum_m exp(-m r)/u; two,
+    8 pi sum_m m K_1(m r)/u; three, 8 pi^(3/2) sum_m m exp(-m r) (1 + 1/(m r))/u^2,
+    which is `boxzero`'s K_3/2 kernel.
     """
-    with np.errstate(over="ignore"):
-        g = 1.0 / np.expm1(r)
-    c = _PREFACTOR[size]
-    if size == 1:
-        return c * g / r, -c * g * (1.0 + g + 1.0 / r)
     if size == 3:
-        gg = g * (1.0 + g)
-        return (c * (gg + g / r) / r**2,
-                -c * (r * gg * (1.0 + 2.0 * g) + 3.0 * gg + 3.0 * g / r) / r**2)
+        return _k32(r)
+    if size == 1:
+        with np.errstate(over="ignore"):
+            g = 1.0 / np.expm1(r)
+        return g / r, -g * (1.0 + g + 1.0 / r)
     m = np.arange(1, _pair_terms(r1) + 1, dtype=float)[:, None]
     y = m * r
     k1 = bessel_k(1.0, y)
     k2 = bessel_k(0.0, y) + 2.0 * k1 / y
-    return c * (m * k1).sum(axis=0) / r, -c * (m * m * k2).sum(axis=0)
+    return (m * k1).sum(axis=0) / r, -(m * m * k2).sum(axis=0)
 
 
 def _envelope(size: int, r1: float) -> tuple[int, float]:
@@ -265,21 +220,21 @@ def _envelope(size: int, r1: float) -> tuple[int, float]:
     g = 1/(e^r - 1) <= h e^-r, 1 + g <= h = 1/(1 - e^-r1), and for two axes
     K_1 <= K_3/2 and K_2 <= K_5/2, elementary and falling like exp(-y)."""
     h = 1.0 / -math.expm1(-r1)
-    c = _PREFACTOR[size]
     if size == 1:
-        return 0, c * h * (h + 2.0 / r1)
+        return 0, h * (h + 2.0 / r1)
     if size == 2:
-        return 0, c * math.sqrt(PI / (2.0 * r1)) * (
+        return 0, math.sqrt(PI / (2.0 * r1)) * (
             (1.0 + 1.0 / r1) * h * h / r1 + 2.0 * (1.0 + 3.0 / r1 + 3.0 / r1**2) * h**3)
-    return 1, c * (2.0 * h**3 + 4.0 * h * (h + 1.0 / r1) / r1) / r1**2
+    return 1, (2.0 * h**3 + 4.0 * h * (h + 1.0 / r1) / r1) / r1**2
 
 
 def images(ts, field: FieldKind, tol: float, max_points: int):
     """(rho, t_i d rho/dt_i for each axis, sum of |term| of both) at the
     reduced temperatures ts; `max_points` caps the points of each product.
 
-    Each product's images are cut at one radius, where the bound on the rest
-    (`_cut`) reaches eps |c1| / 8 in rho.
+    Each product's images are cut where the bound on the rest reaches
+    eps |c1| / 8 in rho and in each t_i d rho/dt_i, below every total's
+    roundoff floor.
     """
     rho, grad, scale = [], ([], [], []), []
     for coef, axes in _HEAT_TRACE[field]:
@@ -287,23 +242,18 @@ def images(ts, field: FieldKind, tol: float, max_points: int):
         r1 = 2.0 * PI / max(ts[i] for i in axes)
         if r1 > 745.0:
             continue  # every term underflows
-        weight = -coef * math.prod(1.0 / (2.0 * math.sqrt(PI) * ts[i]) for i in axes)
-        k, amp = _envelope(size, r1)
-        # the product's truncation in rho and in each t_i d rho/dt_i is at
-        # most eps |c1| / 8, below every total's roundoff floor
-        radius = _cut(size, k, amp, r1, math.log(0.125 * _EPS * abs(C1[field] / weight)))
-        if radius is None:
+        weight = -coef * _PREFACTOR[size] * math.prod(
+            1.0 / (2.0 * math.sqrt(PI) * ts[i]) for i in axes)
+        s0, slopes, s0_abs, points = _image_sums(
+            "rho images", [2.0 * PI / ts[i] for i in axes], partial(_kernels, size, r1),
+            *_envelope(size, r1), math.log(0.125 * _EPS * abs(C1[field] / weight)), tol, max_points)
+        if not points:
             continue
-        comps, r, copies = _grid(np.array([2.0 * PI / ts[i] for i in axes]), radius, tol,
-                                 max_points)
-        psi, dpsi = _kernels(size, r, r1)
-        s0 = float((copies * psi).sum())
-        # t_i d/dt_i of the weight gives -1, of u gives -(j_i/t_i)^2/u^2 u d/du
-        parts = (copies * dpsi / (r * r)) @ (comps * comps)
         rho.append(weight * s0)
-        for col, i in enumerate(axes):
-            grad[i].append(-weight * (s0 + float(parts[col])))
-        scale.append(abs(weight) * (s0 + float(np.abs(parts).sum())))
+        # t_i d/dt_i of the weight gives -1, of beta_i = 2 pi / t_i gives -beta_i d/dbeta_i
+        for slope, i in zip(slopes, axes):
+            grad[i].append(-weight * (s0 + slope))
+        scale.append(abs(weight) * (s0_abs + sum(map(abs, slopes))))
     return math.fsum(rho), tuple(math.fsum(g) for g in grad), math.fsum(scale)
 
 

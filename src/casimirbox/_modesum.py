@@ -1,69 +1,62 @@
-"""Truncated sums over box mode lattices, in two exact representations.
+"""Truncated sums over box mode lattices, and the one integral-test cut
+of every lattice image sum.
 
 A row of `thermal` in its direct form reduces to sums of a kernel f(n, r)
 over the positive index lattice of d = 2 or 3 axes, with
-r = sqrt(sum_i (beta_i m_i)^2), where beta_i are the reduced inverse
-temperatures and n = m_1 is the index on the first axis.  Three kernels
-occur:
+r = sqrt(sum_i (beta_i m_i)^2), beta_i the reduced inverse temperatures and
+n = m_1 the index on the first axis:
 
     log:     ln(1 - exp(-r))                    (free energy)
     energy:  r / (exp(r) - 1)                   (internal energy)
     force:   n^2 / (r (exp(r) - 1))             (a-derivative)
 
-One routine, `lattice_sums`, sums any of them together and returns each
-sum with a bound on its truncation error; `log_sum`, `force_sum` and
-`energy_sum` are its single-kernel views.  It has two forms of the same
-sums and takes the direct one unless that is over budget.
+`lattice_sums` sums any of them together and returns each sum with a bound
+on its truncation error; `log_sum`, `force_sum` and `energy_sum` are its
+single-kernel views.  `_image_sums` sums a kernel over Z^d minus 0, d = 1
+to 3: E0's R pass (`boxzero`) and the Matsubara form's c0 and images.
+
+The cut.  The direct form and `_image_sums` cut at a radius R fixed a
+priori by one integral test.  Take an orthant of points j_i >= 1 on d axes
+at radii r = |beta j|, with terms at most g(r) = A r^k exp(-r), decreasing
+for r >= k.  Each point owns the cell prod_i [beta_i (j_i - 1), beta_i j_i],
+of volume prod_i beta_i, in which every y has r(j) - r1 <= |y| <= r(j),
+r1 = |beta|.  So a point at or beyond R >= k adds at most the mean of
+g(max(|y|, R)) over its cell, the cells lie outside the ball of radius
+(R - r1)_+, and those points add at most
+
+    s_d A [R^k exp(-R) (R^d - (R - r1)_+^d) / d + Gamma(d + k, R)] / prod_i beta_i,
+
+s_d = 1 for d = 1 and pi/2 for d = 2 and 3, the orthant's share of the
+sphere.  Z^d minus 0 is the orthants of its faces Q, 2^|Q| sign copies each
+with their own r1 = |beta_Q| and prod beta_Q; its bound sums theirs.  The
+bound decays like exp(-R), so R is about ln(1/tol) beyond r1 (`_radius_for`).
 
 Direct form.  The lattice is enumerated in slabs along the axis with the
-largest beta, the fewest slabs, exp(-r) evaluated once per point; the
-force kernel takes each point's n.  Each kernel is bounded by a decreasing
-g(r) = A r^k exp(-r), with A = beta_1^-s / (1 - exp(-r1)) and r1 = |beta|
-the radius of the first point: k = s = 0 for the log kernel
+largest beta, exp(-r) once per point; the force kernel takes each point's
+n.  A = beta_1^-s / (1 - exp(-r1)), with k = s = 0 for the log kernel
 (|ln(1 - u)| <= u / (1 - u)), k = 1, s = 0 for the energy kernel, and
-k = 1, s = 2 for the force kernel, whose n^2 is at most (r / beta_1)^2.
-Every lattice point m owns the cell prod_i [beta_i (m_i - 1), beta_i m_i] of
-volume prod_i beta_i, and every y in that cell has r(m) - r1 <= |y| <= r(m).
-A point beyond the cut radius R >= k therefore adds at most the mean of
-g(max(|y|, R)) over its cell, and the cells lie in the positive orthant
-outside the ball of radius R - r1, so the points beyond R sum to at most
+k = 1, s = 2 for the force kernel, whose n^2 is at most (r / beta_1)^2.  R
+is the smallest radius at which every requested kernel's bound is at most
+tol times its first (largest) term, a lower bound on |sum| since every
+kernel has a fixed sign; `tighten` shrinks every bound by a further factor.
+Its cost grows like prod_i (R / beta_i), t^-d at high temperature.  Sums
+are added with fsum over fixed partial sums, so results are deterministic.
 
-    (pi/2) A [R^k exp(-R) (R^d - (R - r1)^d) / d + Gamma(d + k, R)] / prod_i beta_i
-
-for d = 2 and 3 alike (the orthant's share of the sphere's area is pi/2 in
-both).  The bound is anchored at R: it decays like exp(-R) and needs R only
-about ln(1/tol) beyond r1, where the plain integral from R - r1 needed
-twice r1.  R is the smallest radius at which every requested kernel's bound
-is at most tol times its first (largest) term, a lower bound on |sum| since
-every kernel has a fixed sign; `tighten` shrinks every bound reached there
-by a further factor.  Its cost grows like prod_i (R / beta_i), t^-d at
-high temperature.
-
-Dual form.  The same sums taken over the Poisson-resummed lattice of
-`_dualsum`: the axis with the largest beta stays a direct sum and the
-others become images, so its cost barely grows as those betas shrink.  It
-returns the same `LatticeSums`, and is imported only for a lattice that
-needs it, since compiling it would cost every command-line call.
-
-Choice.  The direct form knows its work before it sums: its point count.
-It runs unless that count exceeds the budget; then the dual form is
-planned, and runs if its planned terms fit the budget.  Hot rows no longer
-reach either form: `thermal` takes its renormalized Matsubara form where
-the largest reduced temperature is small, which costs less than both and
-does not cancel against the subtractions.  What the dual form still serves
-is a wide box whose short side is cold and whose long sides are hot, such
-as the 1 um x 1 mm x 1 mm electromagnetic box at 300 K (t = 3.8 and
-0.0038): its triple lattice needs 7.2e6 direct points.  The dual form sums
-it directly along the cold axis and in images along the hot ones, without
-cancellation; the Matsubara form's images along the cold side would
-cancel against c0 there, and leave 2 ulps in a force whose thermal part
-F_x(T) - F_x(0) is 1/1300 of it.  Sums are added with fsum over fixed
-partial sums, so results are deterministic.
+Dual form.  `_dualsum` takes the same sums over the Poisson-resummed
+lattice: the axis with the largest beta stays a direct sum and the others
+become images, so its cost barely grows as those betas shrink.  It is
+planned, and imported, only where the direct form's points exceed the
+budget (compiling it would cost every command-line call), and runs if its
+terms fit it.  Hot rows take `thermal`'s Matsubara form; the dual form
+serves wide boxes with a cold short side and hot long sides (1 um x 1 mm
+x 1 mm, electromagnetic, 300 K), where Matsubara images cancel against c0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -84,10 +77,9 @@ _KERNEL_BOUNDS = {"log": (0, 0), "energy": (1, 0), "force": (1, 2)}
 #: where the direct form costs a few points anyway.
 _DUAL_MAX_DEPTH = 600.0
 
-#: Nor when it would keep more than _DUAL_MAX_ROWS rows n <= X / beta_K:
-#: the plan holds a few array entries per row and image, and at the cap it
-#: took 2.4 s and 95 MB (three axes at beta = 0.0012; about a 0.2 mm cube
-#: at 10 kK).  Larger boxes fall to the direct form and its budget.
+#: Nor when it would keep more than _DUAL_MAX_ROWS rows n <= X / beta_K: at
+#: the cap the plan took 2.4 s and 95 MB (three axes at beta = 0.0012, about
+#: a 0.2 mm cube at 10 kK).  Larger boxes fall to the direct form's budget.
 _DUAL_MAX_ROWS = 20_000
 
 
@@ -126,43 +118,99 @@ def _slab_sums(kernels, n, r: np.ndarray) -> list[float]:
     return out
 
 
-# ----------------------------------------------------------------------
-# direct form
+def _faces(faces, k: int):
+    """The orthants (d, r1, w) of the cut's bound, d axes, first point at r1
+    and weight w, for the envelope's power k, prepared for `_log_tail`: the
+    start max(min r1, k), and sum_Q w_Q Gamma(d + k, R) e^R as coefficients."""
+    gamma = [0.0] * (max(d for d, _, _ in faces) + k)
+    for d, _, w in faces:
+        for j in range(d + k):  # Gamma(n, R) e^R = (n-1)! sum_{j<n} R^j / j!
+            gamma[j] += w * math.factorial(d + k - 1) / math.factorial(j)
+    return (k, max(min(r1 for _, r1, _ in faces), float(k)),
+            [(d, r1, w / d, w) for d, r1, w in faces], gamma[::-1])
 
 
-def _log_tail(d: int, k: int, r1: float, radius: float) -> tuple[float, float]:
-    """ln of R^k exp(-R) (R^d - (R - r1)^d)/d + Gamma(d + k, R), and its
-    derivative in R, at R = radius >= r1."""
-    n = d + k
-    # Gamma(n, R) = (n-1)! exp(-R) sum_{j<n} R^j / j! and its polynomial's derivative
-    terms = [radius**j / math.factorial(j) for j in range(n)]
-    gamma, dgamma = math.factorial(n - 1) * sum(terms), math.factorial(n - 1) * sum(terms[:-1])
-    inner = radius - r1
-    shell = radius**k * (radius**d - inner**d) / d
-    dshell = (k * radius ** (k - 1) * (radius**d - inner**d) / d
-              + radius**k * (radius ** (d - 1) - inner ** (d - 1)))
-    poly = shell + gamma
-    return math.log(poly) - radius, (dshell + dgamma) / poly - 1.0
+def _log_tail(faces, radius: float) -> tuple[float, float]:
+    """ln of sum_Q w_Q [R^k exp(-R) (R^d - (R - r1)_+^d)/d + Gamma(d + k, R)]
+    over the prepared orthants, and its derivative in R, at R = radius."""
+    k, _, shells, gamma = faces
+    shell = dshell = poly = dpoly = 0.0
+    for d, r1, wd, w in shells:
+        inner = radius - r1 if radius > r1 else 0.0
+        shell += wd * (radius**d - inner**d)
+        dshell += w * (radius ** (d - 1) - (inner ** (d - 1) if inner else 0.0))
+    for c in gamma:  # Horner, with the derivative
+        dpoly = dpoly * radius + poly
+        poly = poly * radius + c
+    rk = radius**k
+    poly += rk * shell
+    dpoly += k * radius ** (k - 1) * shell + rk * dshell
+    return math.log(poly) - radius, dpoly / poly - 1.0
 
 
-def _radius_for(d: int, k: int, r1: float, level: float) -> float:
-    """The first R >= max(r1, k) with _log_tail(d, k, r1, R)[0] <= level,
-    to rounding: Newton's method from max(r1, k), then a guard that steps
-    on while the bound still misses."""
-    radius = max(r1, float(k))
-    value, slope = _log_tail(d, k, r1, radius)
+def _radius_for(faces, level: float) -> float:
+    """The first R >= max(min r1, k) with _log_tail(faces, R)[0] <= level, to
+    rounding: Newton's method from there or from -level, which no root
+    precedes (some w is 1), then a guard that steps on while the bound misses."""
+    radius = max(faces[1], -level)
+    value, slope = _log_tail(faces, radius)
     if value <= level:
         return radius
     for _ in range(100):
         step = (value - level) / -slope if slope < 0.0 else value - level + 1.0
         radius += step
-        value, slope = _log_tail(d, k, r1, radius)
+        value, slope = _log_tail(faces, radius)
         if abs(step) <= 1e-12 * radius:
             break
     while value > level:
         radius += max(value - level, 1e-12 * radius)
-        value, _ = _log_tail(d, k, r1, radius)
+        value, _ = _log_tail(faces, radius)
     return radius
+
+
+#: The faces Q of Z^d minus 0, d = 1 to 3, with ln of their 2^|Q| sign
+#: copies times their share of the sphere, 1 for one axis and pi/2 for more
+_FACES = {d: [(q, math.log(2 ** len(q) * (1.0 if len(q) == 1 else math.pi / 2.0)))
+              for n in range(1, d + 1) for q in combinations(range(d), n)] for d in (1, 2, 3)}
+
+
+def _image_sums(series: str, betas, kernel, k: int, amp: float, level: float, tol, max_points):
+    """(S, beta_i dS/dbeta_i per axis, sum of |term|, points) for the sum S of
+    f(|beta j|) over j in Z^d minus 0, d = len(betas) <= 3.  kernel(r) returns
+    f(r), of one sign, and r f'(r), both at most amp r^k exp(-r) for r >= min
+    beta; the points beyond the cut add at most exp(level) to S and to each
+    derivative.  `points`, the box 0 <= j_i <= R / beta_i of the kept points,
+    is checked against max_points before it is built; it is 0 where the
+    bound on every point meets the level."""
+    logs = [math.log(b) for b in betas]
+    faces = [(len(q), math.hypot(*[betas[i] for i in q]), copies - sum([logs[i] for i in q]))
+             for q, copies in _FACES[len(betas)]]
+    top = max([w for _, _, w in faces])
+    faces = _faces([(d, r1, math.exp(w - top)) for d, r1, w in faces], k)
+    radius = _radius_for(faces, level - math.log(amp) - top)
+    if radius == min(betas):
+        return 0.0, [0.0] * len(betas), 0.0, 0
+    counts = [radius // b + 1.0 for b in betas]
+    points = math.prod(counts) if math.isfinite(radius) else math.inf
+    if points > max_points:
+        raise budget_error(series, tol, f"needs {points:.0f} lattice points", max_points)
+    squares = [(b * np.arange(n)) ** 2 for b, n in zip(betas, counts)]
+    r2 = functools.reduce(np.add.outer, squares)
+    inside = r2 <= radius * radius
+    inside.flat[0] = False  # the origin
+    index = inside.nonzero()
+    r2 = r2[inside]
+    f, df = kernel(np.sqrt(r2))
+    # each kept j >= 0 stands for its sign copies; beta_i dr/dbeta_i = (beta_i j_i)^2 / r
+    copies = 2.0 ** sum(j > 0 for j in index)
+    total = float(copies @ f)
+    slopes = copies * df / r2
+    # the kernels have one sign: the sum of |term| is |S|
+    return total, [float(slopes @ sq[j]) for sq, j in zip(squares, index)], abs(total), int(points)
+
+
+# ----------------------------------------------------------------------
+# direct form
 
 
 def _less_squares(r2: float, betas) -> float:
@@ -234,15 +282,16 @@ def _direct_plan(betas, kernels, log_targets: dict, tighten: float) -> _DirectPl
     # them underflow
     log_scale = math.log(math.pi / 2.0) - math.log(-math.expm1(-r1)) - sum(map(math.log, betas))
     log_a = {name: log_scale - _KERNEL_BOUNDS[name][1] * math.log(betas[0]) for name in kernels}
-    order = {name: _KERNEL_BOUNDS[name][0] for name in kernels}
-    radius = max(_radius_for(d, order[name], r1, log_targets[name] - log_a[name])
+    # the one orthant, for each power k of the kernels' envelopes
+    orthant = {name: _faces([(d, r1, 1.0)], _KERNEL_BOUNDS[name][0]) for name in kernels}
+    radius = max(_radius_for(orthant[name], log_targets[name] - log_a[name])
                  for name in log_targets)
     if tighten > 1.0:
         # every bound reached at this radius falls by the factor tighten
-        radius = max(_radius_for(d, order[name], r1,
-                                 _log_tail(d, order[name], r1, radius)[0] - math.log(tighten))
+        radius = max(_radius_for(orthant[name],
+                                 _log_tail(orthant[name], radius)[0] - math.log(tighten))
                      for name in kernels)
-    bounds = {name: math.exp(log_a[name] + _log_tail(d, order[name], r1, radius)[0])
+    bounds = {name: math.exp(log_a[name] + _log_tail(orthant[name], radius)[0])
               for name in kernels}
     return _DirectPlan(radius, bounds, _ORTHANT_BALL[d] * radius**d / math.prod(betas))
 

@@ -28,12 +28,10 @@ the result does not depend on the order the sides were given in.
 Each sum is one a-priori pass that also returns its derivatives from the
 same lattice points.  G's points n l <= M are cut once, M solved from a
 closed-form bound sum_{m > M} m^k q^m, q = exp(-2 pi z), on the discarded
-terms of G and of dG/dz.  R's kernel K_{3/2} is elementary, so its sum over
-j is taken in closed form at each lattice point, and the (l, p) plane is
-cut once, at a radius fixed a priori by an integral-test bound on the
-discarded points of R and of both its derivatives; R is summed to double
-precision, since E0 and the zero-T force it feeds are pinned to 1e-12 and
-better.
+terms of G and of dG/dz.  R's sum over j is elementary at each lattice
+point (`_k32`), and the (l, p) plane is `_modesum._image_sums`, cut by its
+integral test to double precision, since E0 and the zero-T force it feeds
+are pinned to 1e-12 and better.
 
 The zero-temperature force is a view of the analytic gradient of E0, not a
 finite difference: dE0/db and dE0/dc by the chain rule through the sums'
@@ -50,6 +48,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._modesum import _image_sums
 from .errors import (DEFAULT_BUDGET, DEFAULT_TOL, MAX_LENGTH, MIN_LENGTH, budget_error,
                      check_budget, check_tol)
 from .specfun import PI, ZETA3, bessel_k
@@ -175,94 +174,46 @@ def lattice_g(z: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_BUDGE
     return _g_pass(z, tol, max_terms)[0]
 
 
+def _k32(r: np.ndarray):
+    """(f, r f'(r)) of f = (g (1 + g) + g/r) / r^2, g = 1/(e^r - 1), at
+    r = 2 pi rho: sum_{j>=1} (j/rho)^{3/2} K_{3/2}(j r) = 2 pi^2 f, since
+    K_{3/2} is elementary and (j/rho)^{3/2} K_{3/2}(j r) = (j/(2 rho^2)) e^{-j r} (1 + 1/(j r))."""
+    with np.errstate(over="ignore"):
+        g = 1.0 / np.expm1(r)
+    gg = g * (1.0 + g)
+    part, inv = gg + g / r, 1.0 / (r * r)
+    return part * inv, -(r * gg * (1.0 + 2.0 * g) + 3.0 * part) * inv
+
+
 def _r_pass(z1: float, z2: float, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_BUDGET):
     """(R, dR/dz1, dR/dz2) at (z1, z2) from one pass over the (l, p) plane.
 
-    K_{3/2} is elementary: with y = 2 pi rho and x = exp(-y),
-    (j/rho)^{3/2} K_{3/2}(2 pi j rho) = (j/(2 rho^2)) x^j (1 + 1/(2 pi j rho)),
-    so each point's sum over j is the closed form
-    phi(rho) = (x/(1-x)^2 + x/(y(1-x))) / (2 rho^2), and phi'(rho) is
-    elementary too.  rho^2 = l^2 z1^2 + p^2 z2^2 gives
-    dR/dz1 = R/z1 + (z2/8) sum (l z1)^2 phi'(rho)/rho, and likewise for z2.
-    Each point adds at most rho |phi'(rho)| <= cd exp(-2 pi rho) to either
-    derivative sum, and cd is more than twice the constant of phi's own
-    envelope, so one cut of the plane serves all three: at the radius where an
-    integral-test bound on the discarded points, decaying like
-    exp(-2 pi rho) as the terms do, reaches min(tol, eps) times the largest
-    term of R.  Symmetric under z1 <-> z2, the derivatives swapping.
+    Each point's sum over j is 2 pi^2 `_k32`(r), r = 2 pi rho, so
+    R = (pi^2 z1 z2 / 4) S, S the `_modesum._image_sums` of `_k32` at
+    beta = 2 pi (z1, z2), and z1 dR/dz1 = R + (pi^2 z1 z2 / 4) beta_1 dS/dbeta_1.
+    With r1 = 2 pi min(z1, z2), x = exp(-r1) and h = 1/(1 - x), the envelope
+    of f and r f' is (h^3 (1 + x) + 3 h (h + 1/r1)/r1) exp(-r) / r1.  The cut
+    is at min(tol, eps) times the largest term: at tol alone, R kept up to
+    1.3e-14 of its tail (at (0.5, 2)), which E0 and its gradient would show.
     """
     for name, v in (("z1", z1), ("z2", z2)):
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"lattice_r requires {name} > 0, got {v!r}")
     check_tol(tol)
     check_budget(max_terms)
-    rho_min = min(z1, z2)
-    y_min = 2.0 * PI * rho_min
-    x_min = math.exp(-y_min)
+    r1 = 2.0 * PI * min(z1, z2)
+    x = math.exp(-r1)
     # the largest term: the j = 1 terms of the two nearest points
-    first = x_min * (1.0 + 1.0 / y_min) / rho_min**2
+    first = 2.0 * x * (1.0 + 1.0 / r1) / r1**2
     if first == 0.0:
         return 0.0, 0.0, 0.0
-    # bounds at radius rho >= rho_min, relative to exp(-2 pi rho): on phi, and
-    # on rho |phi'| <= (|u'| + |v'|)/(2 rho) + 2 phi for the two parts of phi
-    e_min = 1.0 - x_min
-    cb = (1.0 / (2.0 * rho_min**2)) * (1.0 / e_min**2 + 1.0 / (y_min * e_min))
-    cd = (PI / rho_min) * ((1.0 + x_min) / e_min**3
-                           + (1.0 / e_min + 1.0 / y_min) / (y_min * e_min)) + 2.0 * cb
-    # integral test: each point l, p >= 1 owns the cell [z1 (l-1), z1 l] x
-    # [z2 (p-1), z2 p], all of whose points y have rho - rho1 <= |y| <= rho,
-    # rho1 = |(z1, z2)|, so a point beyond the cut radius R adds at most the
-    # mean of cd exp(-2 pi max(|y|, R)) over its cell; the cells lie in the
-    # quadrant outside the circle of radius R - rho1.  The axis points are
-    # two geometric series.  With the weights 4 and 2 of the four quadrants
-    # and the two half-axes, the discarded points add at most
-    # cd exp(-2 pi R) poly(R), poly(R) = scale (shell + tail) + axes
-    rho1 = math.hypot(z1, z2)
-    scale = 2.0 * PI / (z1 * z2)
-    axes = 2.0 / -math.expm1(-2.0 * PI * z1) + 2.0 / -math.expm1(-2.0 * PI * z2)
-    # that bound is set to eps times the first term, not tol times it: cut
-    # at tol alone, R keeps up to 1.3e-14 of its tail (at (0.5, 2)), which E0
-    # and its gradient, good to 1e-12 and better, would show
-    level = math.log(cd) - math.log(min(tol, _EPS) * first)
-
-    def excess(rad: float) -> float:
-        """ln(bound / target) at radius rad."""
-        inner = max(rad - rho1, 0.0)
-        return level + math.log(scale * ((rad * rad - inner * inner) / 2.0 + rad / (2.0 * PI)
-                                         + 1.0 / (4.0 * PI**2)) + axes) - 2.0 * PI * rad
-
-    # the root of R = (level + ln poly(R)) / (2 pi): ln poly > 0 grows far
-    # slower than 2 pi R, so one step of that map from R = level / (2 pi)
-    # lands a few hundredths below it; a margin of 0.05 then passes it,
-    # which the last loop checks
-    radius = level / (2.0 * PI)
-    radius += excess(radius) / (2.0 * PI) + 0.05
-    while excess(radius) > 0.0:
-        radius += max(excess(radius) / (2.0 * PI), 1e-12 * radius)
-    radius = max(radius, 1.5 * rho_min + 1.0)
-    n1 = int(radius / z1) + 1
-    n2 = int(radius / z2) + 1
-    points = (n1 + 1) * (n2 + 1)
-    if points > max_terms:
-        raise budget_error("lattice_r", tol, f"needs {points} lattice points", max_terms)
-    lz2, pz2 = np.broadcast_arrays((np.arange(0, n1 + 1, dtype=float)[:, None] * z1) ** 2,
-                                   (np.arange(0, n2 + 1, dtype=float)[None, :] * z2) ** 2)
-    rho2 = lz2 + pz2
-    mask = (rho2 <= radius * radius) & (rho2 > 0.0)
-    weight = np.where((lz2 == 0.0) | (pz2 == 0.0), 2.0, 4.0)[mask]
-    lz2, pz2, rho = lz2[mask], pz2[mask], np.sqrt(rho2[mask])
-    y = 2.0 * PI * rho
-    with np.errstate(under="ignore"):
-        x = np.exp(-y)
-        e = -np.expm1(-y)
-        phi = (x / e**2 + x / (y * e)) / (2.0 * rho**2)
-        # phi'(rho) / rho
-        dphi = -(PI * x * ((1.0 + x) / e**3 + (1.0 / e + 1.0 / y) / (y * e)) / rho**2
-                 + 2.0 * phi / rho) / rho
-    r = z1 * z2 / 8.0 * math.fsum((weight * phi).tolist())
-    return (r,
-            r / z1 + z2 / 8.0 * math.fsum((weight * lz2 * dphi).tolist()),
-            r / z2 + z1 / 8.0 * math.fsum((weight * pz2 * dphi).tolist()))
+    h = 1.0 / -math.expm1(-r1)
+    amp = (h**3 * (1.0 + x) + 3.0 * h * (h + 1.0 / r1) / r1) / r1
+    s, (s1, s2), _, _ = _image_sums("lattice_r", (2.0 * PI * z1, 2.0 * PI * z2), _k32, 0, amp,
+                                    math.log(min(tol, _EPS) * first), tol, max_terms)
+    scale = PI**2 * z1 * z2 / 4.0
+    r = scale * s
+    return r, (r + scale * s1) / z1, (r + scale * s2) / z2
 
 
 def lattice_r(z1: float, z2: float, tol: float = DEFAULT_TOL,

@@ -518,6 +518,20 @@ class TestImports:
         ) == "[]"
 
 
+    def test_box_and_plates_calls_load_no_lattice_form_they_do_not_use(self):
+        # the benchmark's six box and plates argv lists, run in one
+        # interpreter, all take the direct form; the CLI compiles neither
+        # the Matsubara form, the dual form nor validate for them
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = self._stdout_of(
+            f"import sys; sys.path.insert(0, {os.path.join(repo, 'perfbench')!r}); "
+            "from workloads import CLI_CALLS; from casimirbox import cli; "
+            "[cli.main(argv) for name, argv in CLI_CALLS.items() if name != 'validate']; "
+            "print(sorted(m for m in ('casimirbox._matsubara', 'casimirbox._dualsum', "
+            "'casimirbox.validate') if m in sys.modules))"
+        )
+        assert out.splitlines()[-1] == "[]"
+
 class TestValidateCommand:
     def test_all_checks_pass_and_exit_zero(self):
         status, out, _ = run_cli(["validate"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from casimirbox import _matsubara, _modesum, thermal, validate
+from casimirbox import _matsubara, _modesum, boxzero, thermal, validate
 from casimirbox.boxzero import BoxGeometry, FieldKind, e0, e0_force_x
 from casimirbox.errors import DEFAULT_BUDGET, ConvergenceError
 from casimirbox.plates import PlatesConfig, plates_pressure
@@ -572,6 +572,79 @@ class TestMatsubaraForm:
         assert calls["zeta_prime"] == 0
 
 
+    def test_image_sums_over_budget_name_their_series(self):
+        match = r"^c0 log sum: tolerance 1\.000e-10 needs \d+ lattice points, budget 10$"
+        with pytest.raises(ConvergenceError, match=match):
+            _matsubara.classical((1.0, 2.0, 3.0), SCALAR, 1e-10, 10)
+        # the 1 um EM cube at t = 1: E0 and c0 need at most 81 points, rho's
+        # images 512
+        tp = ThermalPoint(HBAR_C / (2e-6 * K_BOLTZMANN))
+        match = r"^rho images: tolerance 1\.000e-10 needs \d+ lattice points, budget 200$"
+        with pytest.raises(ConvergenceError, match=match):
+            free_energy(BoxGeometry(1e-6, 1e-6, 1e-6), EM, tp, 1e-10, 200)
+
+
+class TestImageSums:
+    """`_modesum._image_sums` against brute-force sums, for each kernel and
+    lattice it serves: K_3/2 on Z^2 (E0's R pass), the log kernel on Z^1
+    and Z^2 (c0), and K_1/2 on Z^1, K_1 on Z^2 and K_3/2 on Z^3 (rho)."""
+
+    CALLS = {
+        "r": lambda: boxzero._r_pass(0.5, 2.0),
+        "c0": lambda: _matsubara.classical((1.0, 2.0, 3.0), SCALAR, 1e-10, DEFAULT_BUDGET),
+        "rho": lambda: _matsubara.images((0.5, 0.4, 0.3), SCALAR, 1e-10, DEFAULT_BUDGET),
+    }
+
+    @staticmethod
+    def first_sums(monkeypatch, call):
+        """The arguments, cut radius and result of the first image sum of
+        each (series, lattice dimension) that the call makes."""
+        seen, radii = {}, []
+        radius_for = _modesum._radius_for
+        monkeypatch.setattr(_modesum, "_radius_for",
+                            lambda *args: radii.append(radius_for(*args)) or radii[-1])
+        for module in (boxzero, _matsubara):
+            def spy(series, betas, *rest, real=module._image_sums):
+                result = real(series, betas, *rest)
+                seen.setdefault((series, len(betas)), (betas, rest, radii[-1], result))
+                return result
+
+            monkeypatch.setattr(module, "_image_sums", spy)
+        call()
+        return seen
+
+    @pytest.mark.parametrize("call, series, d", [
+        ("r", "lattice_r", 2), ("c0", "c0 log sum", 1), ("c0", "c0 log sum", 2),
+        ("rho", "rho images", 1), ("rho", "rho images", 2), ("rho", "rho images", 3)])
+    def test_against_brute_force(self, monkeypatch, call, series, d):
+        betas, rest, radius, result = self.first_sums(monkeypatch, self.CALLS[call])[series, d]
+        kernel, level = rest[0], rest[3]
+        value, slopes, size, points = result
+        assert points > 0 and size == abs(value)
+        # every j of Z^d minus 0 in a box reaching twice the cut radius
+        betas = np.asarray(betas)
+        axes = [np.arange(-n, n + 1.0) for n in np.ceil(2.0 * radius / betas)]
+        j = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        j = j[(j != 0).any(axis=1)]
+        comps = (betas * j) ** 2
+        r2 = comps.sum(axis=1)
+        f, df = kernel(np.sqrt(r2))
+        dropped = r2 > radius * radius
+        assert value == pytest.approx(math.fsum(f[~dropped]), rel=1e-13, abs=0)
+        assert abs(math.fsum(f[dropped])) <= math.exp(level)
+        h = 1e-6
+        for i in range(d):
+            # the dropped part of beta_i dS/dbeta_i, and a central difference
+            assert abs(math.fsum((df * comps[:, i] / r2)[dropped])) <= math.exp(level)
+            # of the terms with j_i != 0, the others being constant in beta_i
+            moving = j[j[:, i] != 0]
+            up, down = betas.copy(), betas.copy()
+            up[i] *= 1.0 + h
+            down[i] *= 1.0 - h
+            sums = [math.fsum(kernel(np.sqrt(((b * moving) ** 2).sum(axis=1)))[0])
+                    for b in (up, down)]
+            assert slopes[i] == pytest.approx((sums[0] - sums[1]) / (2.0 * h), rel=1e-8, abs=0)
+
 class TestClassicalLimit:
     """The paper's classical limit at high temperature: for the 1 um cube
     F = kT (c0 + c1 ln(kT a)) up to terms of order exp(-2 pi / t), with
@@ -862,6 +935,23 @@ class TestForce:
         extrapolated = (1000.0**2 * dev[1000.0] - 300.0**2 * dev[300.0]) / (1000.0**2 - 300.0**2)
         assert abs(extrapolated) <= 1e-13
 
+
+    @pytest.mark.parametrize("field, limit", [(EM, 1972855791.73), (SCALAR, -489360881.690)])
+    @pytest.mark.parametrize("a_um", [100.0, 300.0])
+    def test_long_box_thermal_force_tends_to_the_waveguide(self, field, limit, a_um):
+        # the paper's one-side-infinite limit: for b = c = 10 um at 300 K,
+        # F_x(T) - F_x(0) tends to minus the waveguide's renormalized thermal
+        # free energy per unit length, the K_1 series
+        #   -(kT/pi) sum_w w sum_{m>=1} K_1(m w / kT) / m
+        # over the cross-section's modes w = pi |(l/b, p/c)| (l, p >= 1 for
+        # the scalar; for EM those twice plus the modes with one index 0)
+        # plus the a-linear part of the bb, alpha1 and alpha2 subtractions.
+        # Summed with scipy.special.k1 it gives +1.9728557917e9 (EM) and
+        # -4.8936088169e8 m^-2 (scalar); the box's end corrections fall
+        # exponentially in a/b and are below 1.3e-15 from a = 100 um
+        box = BoxGeometry(a_um * 1e-6, 10e-6, 10e-6)
+        thermal_force = force_x(box, field, TP300) - e0_force_x(box, field)
+        assert thermal_force == pytest.approx(limit, rel=1e-9, abs=0)
 
 class TestInternalEnergyAndEntropy:
     def test_u_approaches_e0_at_low_t(self):
