@@ -37,8 +37,8 @@ with H(r) = sum_{n>=1} ln(1 - exp(-2 pi n r)), the primed sum over
 (n, m) in Z^2 minus 0, x = L/s1, y = L/s2 >= 1 for the two shorter sides
 s1 <= s2 = p, q = s1, and G `boxzero`'s lattice sum.  Every series falls by
 exp(-2 pi) or faster per term; each is summed to double precision, the log
-sums by `_modesum._image_sums` as the images below are.  The gradient in
-the sides follows term by term.
+sums by `_modesum._image_sums` of the mode sums' log kernel, as the images
+below are.  The gradient in the sides follows term by term.
 
 Images.  rho is the n >= 1 part with the j = 0 images removed:
 
@@ -68,7 +68,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._modesum import _image_sums
+from ._modesum import _image_sums, _log_kernel
 from .boxzero import FieldKind, _g_pass, _k32
 from .specfun import PI, ZETA3, bessel_k
 
@@ -93,12 +93,6 @@ _PREFACTOR = {1: 4.0 * PI**1.5, 2: 16.0 * PI**2, 3: 32.0 * PI**3.5}
 
 # ----------------------------------------------------------------------
 # classical part
-
-
-def _log_kernel(r: np.ndarray):
-    """(ln(1 - e^-r), r d/dr of it)."""
-    with np.errstate(over="ignore"):
-        return np.log1p(-np.exp(-r)), r / np.expm1(r)
 
 
 def _log_sum(ratios, tol: float, max_points: int):

@@ -203,12 +203,13 @@ def _r_pass(z1: float, z2: float, tol: float = DEFAULT_TOL, max_terms: int = DEF
     check_budget(max_terms)
     r1 = 2.0 * PI * min(z1, z2)
     x = math.exp(-r1)
-    # the largest term: the j = 1 terms of the two nearest points
-    first = 2.0 * x * (1.0 + 1.0 / r1) / r1**2
+    # the largest term: the j = 1 terms of the two nearest points; for tiny
+    # r1 it and the envelope overflow to inf, and the cut asks for inf points
+    first = 2.0 * x * (1.0 + 1.0 / r1) / r1 / r1
     if first == 0.0:
         return 0.0, 0.0, 0.0
     h = 1.0 / -math.expm1(-r1)
-    amp = (h**3 * (1.0 + x) + 3.0 * h * (h + 1.0 / r1) / r1) / r1
+    amp = (h * h * h * (1.0 + x) + 3.0 * h * (h + 1.0 / r1) / r1) / r1
     s, (s1, s2), _, _ = _image_sums("lattice_r", (2.0 * PI * z1, 2.0 * PI * z2), _k32, 0, amp,
                                     math.log(min(tol, _EPS) * first), tol, max_terms)
     scale = PI**2 * z1 * z2 / 4.0

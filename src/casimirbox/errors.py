@@ -41,8 +41,8 @@ DEFAULT_TOL = 1e-10
 
 #: Default cap on the lattice points or terms of any one series: the mode
 #: sums (direct points or dual terms), E0's G and R passes and the CLI's
-#: --max-shell.  An R pass holds all its points at once, about 100 bytes
-#: each, so this cap also keeps one pass under about 0.5 GB.
+#: --max-shell.  The direct and image lattice sums hold one chunk of at most
+#: 15 000 points at a time, so for them it bounds the time, not the memory.
 DEFAULT_BUDGET = 5_000_000
 
 #: Accepted lengths [m], box sides and plate separations alike.  Within it

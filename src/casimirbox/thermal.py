@@ -26,11 +26,11 @@ of one row per state point (T > 0), taken in one of two exact forms by the
 largest reduced temperature t_i = 1/(2 a_i kT), measured against
 `_T_CROSS`, measured where the two cost about the same:
 
-* direct, for max t_i above it: the mode sums above, each of the field's
-  mode lattices summed once for the log, energy and force kernels by
-  `_modesum` (in its dual form where the lattice's points exceed the
-  budget).  The sums cancel against the subtractions by up to (kT a)^3,
-  and their cost grows like t^-3;
+* direct, for max t_i above it: the mode sums above, the log kernel
+  summed once over each of the field's mode lattices by `_modesum`, the
+  energy and force sums read from its beta-gradient (in its dual form where
+  the points exceed the budget).  The sums cancel against the subtractions
+  by up to (kT a)^3, and their cost grows like t^-3;
 * Matsubara, for max t_i up to it: F = kT [c1 ln(kT a) + c0] + kT rho(t)
   (`_matsubara`), with c0 from zeta'(0) of the box and rho a sum of
   Matsubara images below exp(-2 pi / max t_i).  Nothing cancels but the

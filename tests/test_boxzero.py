@@ -159,6 +159,15 @@ class TestLatticeR:
         with pytest.raises(ConvergenceError, match=match):
             lattice_r(1e-4, 1e-4, max_terms=100)
 
+    @pytest.mark.parametrize("z", [1e-40, 1e-100, 1e-160, 1e-320])
+    def test_tiny_arguments_exceed_the_budget(self, z):
+        # the first term and the envelope overflow below z ~ 1e-77 (1e-160
+        # raised OverflowError, 1e-320 ZeroDivisionError); every such
+        # lattice needs more points than any budget
+        for z1, z2 in ((z, 1.0), (1.0, z)):
+            with pytest.raises(ConvergenceError, match=r"^lattice_r: .* lattice points, budget"):
+                lattice_r(z1, z2)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10, 0.5])
     def test_rejects_bad_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,6 +368,17 @@ class TestDualForm:
         for _, lattice, _ in thermal._lattices(field, ThermalPoint(temperature).reduced(g)):
             self.check(lattice, 1e-10)
 
+    @pytest.mark.parametrize("name", ["triple", "l, p"])
+    def test_wide_box_lattices(self, name):
+        # the 1 x 1000 x 1000 um box at 300 K, electromagnetic: its triple
+        # lattice (9.9e6 direct points) takes the dual form at the default
+        # budget, its (l, p) lattice (2.5e6) the direct form
+        betas = ThermalPoint(300.0).reduced(BoxGeometry(1e-6, 1e-3, 1e-3))
+        lattice = betas if name == "triple" else betas[1:]
+        assert _modesum.lattice_sums(lattice, 1e-10).form == (
+            "dual" if name == "triple" else "direct")
+        self.check(lattice, 1e-10)
+
     def test_tighten_cuts_every_bound(self):
         betas = (0.72, 0.5, 0.3)
         loose = self.check(betas, 1e-8)
@@ -453,23 +465,42 @@ class TestDualForm:
 
     def test_slabs_run_along_the_largest_beta(self, monkeypatch):
         # the 10 x 1 x 1 um bar's (a, b) lattice at 500 K: 33 slabs of one to
-        # three points along a, 3 along b at tol 1e-12; the force kernel then
-        # takes each point's own index on a
+        # three points along a, 3 along b at tol 1e-12; the force's gradient
+        # then takes each point's own index on a
         betas = (1.4390, 14.390)
-        calls = []
-        slab_sums = _modesum._slab_sums
+        chunks = []
+        real = _modesum._chunks
 
-        def spy(kernels, n, r):
-            calls.append(len(r))
-            return slab_sums(kernels, n, r)
+        def spy(*args):
+            for squares in real(*args):
+                chunks.append([np.sqrt(sq) for sq in squares])
+                yield squares
 
-        monkeypatch.setattr(_modesum, "_slab_sums", spy)
+        monkeypatch.setattr(_modesum, "_chunks", spy)
         res = _modesum.lattice_sums(betas, 1e-12)
-        # one call sums the first term alone, for the tail bounds' targets
-        assert len(calls) - 1 == int(res.radius / betas[1]) == 3
+        # one chunk of every slab: its first axis runs over the slabs along
+        # b, its second along a
+        [(slabs, rows)] = chunks
+        assert len(slabs) == int(res.radius / betas[1]) == 3
+        assert slabs / betas[1] == pytest.approx([1.0, 2.0, 3.0], rel=1e-15)
+        assert rows / betas[0] == pytest.approx(np.arange(1.0, len(rows) + 1.0), rel=1e-15)
         for kernel in ("force", "energy"):
             direct = brute_mode_sum(kernel, betas, 40)
             assert res.sums[kernel] == pytest.approx(direct, rel=1e-11, abs=0)
+
+    def test_slab_lattice_peak_memory(self):
+        # the 1 x 10 x 10 um box's triple lattice at 2 kK, about 7e4 points,
+        # the largest that a benchmark row sums directly: summed in chunks,
+        # its traced peak is about 0.7 MB, against 4.0 MB in one chunk
+        betas = ThermalPoint(2000.0).reduced(BoxGeometry(1e-6, 10e-6, 10e-6))
+        _modesum.lattice_sums(betas, 1e-10)
+        tracemalloc.start()
+        try:
+            _modesum.lattice_sums(betas, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
     @pytest.mark.parametrize("sides_um", [(1.0, 10.0, 10.0), (2.0, 2.0, 2.0)])
     def test_direct_cut_is_anchored_at_the_first_point(self, sides_um):
@@ -585,9 +616,14 @@ class TestMatsubaraForm:
 
 
 class TestImageSums:
-    """`_modesum._image_sums` against brute-force sums, for each kernel and
-    lattice it serves: K_3/2 on Z^2 (E0's R pass), the log kernel on Z^1
-    and Z^2 (c0), and K_1/2 on Z^1, K_1 on Z^2 and K_3/2 on Z^3 (rho)."""
+    """`_modesum`'s lattice sums against brute-force sums, for each kernel
+    and lattice they serve: K_3/2 on Z^2 (E0's R pass), the log kernel on
+    Z^1 and Z^2 (c0), K_1/2 on Z^1, K_1 on Z^2 and K_3/2 on Z^3 (rho), and
+    the log kernel on the orthant of two and three axes (the direct form's
+    mode lattices, here the 1 x 2 x 3 um box's at 300 K, electromagnetic)."""
+
+    MODES = {len(lattice): lattice for _, lattice, has_a in thermal._lattices(
+        EM, ThermalPoint(300.0).reduced(BoxGeometry(1e-6, 2e-6, 3e-6))) if has_a}
 
     CALLS = {
         "r": lambda: boxzero._r_pass(0.5, 2.0),
@@ -613,10 +649,33 @@ class TestImageSums:
         call()
         return seen
 
+    def check_mode_lattice(self, d):
+        """The direct form's log sum, and the energy and force read from its
+        gradient, against brute-force sums over the orthant j_i >= 1 of the
+        log, energy and force kernels: the kept points to roundoff, the
+        dropped ones within the returned bounds."""
+        betas = self.MODES[d]
+        res = _modesum.lattice_sums(betas, 1e-10)
+        assert res.form == "direct"
+        radius = res.radius
+        axes = [np.arange(1.0, np.ceil(2.0 * radius / b) + 1.0) for b in betas]
+        j = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        r = np.sqrt(((np.asarray(betas) * j) ** 2).sum(axis=1))
+        terms = {"log": np.log1p(-np.exp(-r)), "energy": r / np.expm1(r),
+                 "force": j[:, 0] ** 2 / (r * np.expm1(r))}
+        dropped = r > radius
+        for name, t in terms.items():
+            assert res.sums[name] == pytest.approx(math.fsum(t[~dropped]), rel=1e-13, abs=0)
+            assert abs(math.fsum(t[dropped])) <= res.bounds[name]
+
     @pytest.mark.parametrize("call, series, d", [
         ("r", "lattice_r", 2), ("c0", "c0 log sum", 1), ("c0", "c0 log sum", 2),
-        ("rho", "rho images", 1), ("rho", "rho images", 2), ("rho", "rho images", 3)])
+        ("rho", "rho images", 1), ("rho", "rho images", 2), ("rho", "rho images", 3),
+        ("modes", "box mode sum", 2), ("modes", "box mode sum", 3)])
     def test_against_brute_force(self, monkeypatch, call, series, d):
+        if call == "modes":
+            self.check_mode_lattice(d)
+            return
         betas, rest, radius, result = self.first_sums(monkeypatch, self.CALLS[call])[series, d]
         kernel, level = rest[0], rest[3]
         value, slopes, size, points = result
