@@ -228,19 +228,25 @@ def images(ts, field: FieldKind, tol: float, max_points: int):
 
     Each product's images are cut where the bound on the rest reaches
     eps |c1| / 8 in rho and in each t_i d rho/dt_i, below every total's
-    roundoff floor.
+    roundoff floor.  Products with equal coefficients and equal t_i on
+    their axes, as a box with b = c has, share one image sum, added once
+    per product, so the totals do not depend on which ones coincide.
     """
     rho, grad, scale = [], ([], [], []), []
+    summed = {}
     for coef, axes in _HEAT_TRACE[field]:
-        size = len(axes)
-        r1 = 2.0 * PI / max(ts[i] for i in axes)
+        t_axes = tuple(ts[i] for i in axes)
+        size, r1 = len(axes), 2.0 * PI / max(t_axes)
         if r1 > 745.0:
             continue  # every term underflows
         weight = -coef * _PREFACTOR[size] * math.prod(
-            1.0 / (2.0 * math.sqrt(PI) * ts[i]) for i in axes)
-        s0, slopes, s0_abs, points = _image_sums(
-            "rho images", [2.0 * PI / ts[i] for i in axes], partial(_kernels, size, r1),
-            *_envelope(size, r1), math.log(0.125 * _EPS * abs(C1[field] / weight)), tol, max_points)
+            1.0 / (2.0 * math.sqrt(PI) * t) for t in t_axes)
+        if (coef, t_axes) not in summed:
+            summed[coef, t_axes] = _image_sums(
+                "rho images", [2.0 * PI / t for t in t_axes], partial(_kernels, size, r1),
+                *_envelope(size, r1), math.log(0.125 * _EPS * abs(C1[field] / weight)), tol,
+                max_points)
+        s0, slopes, s0_abs, points = summed[coef, t_axes]
         if not points:
             continue
         rho.append(weight * s0)

@@ -211,7 +211,7 @@ def _r_pass(z1: float, z2: float, tol: float = DEFAULT_TOL, max_terms: int = DEF
     h = 1.0 / -math.expm1(-r1)
     amp = (h * h * h * (1.0 + x) + 3.0 * h * (h + 1.0 / r1) / r1) / r1
     s, (s1, s2), _, _ = _image_sums("lattice_r", (2.0 * PI * z1, 2.0 * PI * z2), _k32, 0, amp,
-                                    math.log(min(tol, _EPS) * first), tol, max_terms)
+                                    math.log(min(tol, _EPS)) + math.log(first), tol, max_terms)
     scale = PI**2 * z1 * z2 / 4.0
     r = scale * s
     return r, (r + scale * s1) / z1, (r + scale * s2) / z2

@@ -55,10 +55,10 @@ sum of pieces, among them series, and carries two errors:
   floor.
 
 So a total is within max(tol |total|, floor) + floor of its exact value;
-below the floor's reach, within tol.  `thermal_raw` is the direct mode sum,
-summed to tol alone; the rows' `EnergyBreakdown.thermal_raw` is their
-total less E0 and the subtractions, which in the Matsubara form it
-exceeds by about (kT a)^3, so its relative error stays near the total's.
+below the floor's reach, within tol.  `thermal_raw` is the rows'
+`EnergyBreakdown.thermal_raw`: in the direct form their mode sum, in the
+Matsubara form their total less E0 and the subtractions, which it exceeds
+by about (kT a)^3, so its relative error stays near the total's.
 E0's own series error is not in the check: its G pass is summed to tol,
 its R pass and c0's sums to double precision.  `max_points` caps every sum
 of a row, the G and R passes of E0 and c0's sums included.
@@ -68,18 +68,20 @@ T_MAX (1e32 K, about the Planck temperature) the (kT)^4 terms of the
 largest accepted box stay finite, and from T_MIN (1e-140 K) the (kT)^2
 term of the smallest stays a normal float, so no floor is 0.
 
-Caches.  Two one-entry caches, neither a setting: the last row, keyed on
-the exact (sides, field, T, tol, max_points), so F, the force, U and S
-asked for in turn cost one row; and the last box's temperature-independent
-parts, E0 with the zero-T force and, once a Matsubara row asks for them,
-c0 with dc0/da, keyed on (a, sorted sides, field, tol, max_points), so a
-temperature sweep evaluates each once and a sweep that stays in the direct
-form never computes c0.  Each output depends only on its own inputs, never
-on the order of the calls.
+Caches.  Two one-entry caches (`functools.lru_cache(maxsize=1)`), neither a
+setting: the last row, keyed on the exact (sides, field, T, tol,
+max_points), so F, the force, U, S and `thermal_raw` asked for in turn
+cost one row; and the last box's temperature-independent parts, E0 with
+the zero-T force and, once a Matsubara row asks for them, c0 with dc0/da,
+keyed on (a, sorted sides, field, tol, max_points), so a temperature sweep
+evaluates each once and a sweep that stays in the direct form never
+computes c0.  Each output depends only on its own inputs, never on the
+order of the calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -190,37 +192,48 @@ def mode_frequency(n: int, l: int, p: int, geom: BoxGeometry) -> float:
     return PI * math.sqrt((n / geom.a) ** 2 + (l / geom.b) ** 2 + (p / geom.c) ** 2)
 
 
+#: The kernels of the mode sums (`_modesum`)
+_KERNELS = ("log", "energy", "force")
+
+
 def _lattices(field: FieldKind, betas):
-    """(multiplicity, reduced frequencies, contains the a axis) of each of
-    the field's mode lattices.
+    """(multiplicity, reduced frequencies, kernels) of each of the field's
+    mode lattices.
 
     scalar: the n, l, p >= 1 triple lattice.  em: the triple lattice twice
     (two polarizations) plus the three lattices with exactly one index
     zero.  The a axis comes first wherever it occurs, as the force kernel's
-    n requires; the (l, p) lattice's frequencies do not depend on a.
+    n requires; the (l, p) lattice's frequencies do not depend on a, so it
+    takes no force kernel.
     """
     if field is FieldKind.SCALAR_DIRICHLET:
-        return [(1, betas, True)]
+        return [(1, betas, _KERNELS)]
     ba, bb, bc = betas
-    return [(2, betas, True), (1, (bb, bc), False), (1, (ba, bb), True), (1, (ba, bc), True)]
+    return [(2, betas, _KERNELS), (1, (bb, bc), _KERNELS[:2]), (1, (ba, bb), _KERNELS),
+            (1, (ba, bc), _KERNELS)]
 
 
-def _mode_sums(
-    field: FieldKind, betas, tol: float, max_points: int,
-    kernels=("log", "energy", "force"), tighten: float = 1.0,
-) -> tuple[dict, dict, dict]:
-    """Each kernel summed over the field's mode lattices with their
-    multiplicities, and the tail bounds and sums of |term| added the same way.
+def _mode_sums(field: FieldKind, betas, tol: float, max_points: int,
+               tighten: float = 1.0) -> tuple[dict, dict, dict]:
+    """The log, energy and force kernels summed over the field's mode
+    lattices with their multiplicities, and the tail bounds and sums of
+    |term| added the same way.
 
-    Each lattice is enumerated once for all the kernels; the force kernel
-    runs only on the lattices that contain the a axis.
+    Each distinct lattice, keyed by its reduced frequencies and the kernels
+    it needs, is enumerated once for all of them: a box with b = c has equal
+    (n, l) and (n, p) lattices, while the cube's (l, p) lattice has their
+    frequencies but needs no force.  A lattice that recurs is added once per
+    occurrence, so the totals do not depend on which ones coincide.
     """
-    sums: dict = {name: [] for name in kernels}
-    bounds = dict.fromkeys(kernels, 0.0)
-    scales = dict.fromkeys(kernels, 0.0)
-    for mult, lattice, has_a in _lattices(field, betas):
-        names = kernels if has_a else tuple(k for k in kernels if k != "force")
-        res = _modesum.lattice_sums(lattice, tol, max_points, names, tighten)
+    sums: dict = {name: [] for name in _KERNELS}
+    bounds = dict.fromkeys(_KERNELS, 0.0)
+    scales = dict.fromkeys(_KERNELS, 0.0)
+    summed = {}
+    for mult, lattice, names in _lattices(field, betas):
+        if (lattice, names) not in summed:
+            summed[lattice, names] = _modesum.lattice_sums(lattice, tol, max_points, names,
+                                                           tighten)
+        res = summed[lattice, names]
         for name in names:
             sums[name].append(mult * res.sums[name])
             bounds[name] += mult * res.bounds[name]
@@ -238,13 +251,14 @@ def thermal_raw(
     """Nonrenormalized thermal correction to the free energy [1/m].
 
     kT * X for the scalar field and kT * Y for the electromagnetic one,
-    where X is the triple log-sum and Y = 2X plus the three double sums.
-    Returns exactly 0.0 at T = 0.  Depends on (a, b, c, T) only through
-    the products aT, bT, cT.
+    where X is the triple log-sum and Y = 2X plus the three double sums:
+    the `thermal_raw` of the row's `free_energy`, so it shares the row's
+    mode sums.  Returns exactly 0.0 at T = 0.  Depends on (a, b, c, T) only
+    through the products aT, bT, cT.
     """
     if tp.temperature == 0.0:
         return 0.0
-    return tp.kt * _mode_sums(field, tp.reduced(geom), tol, max_points, ("log",))[0]["log"]
+    return free_energy(geom, field, tp, tol, max_points).thermal_raw
 
 
 def blackbody_density(tp: ThermalPoint, field: FieldKind) -> float:
@@ -324,39 +338,31 @@ def _force_subtraction_terms(geom: BoxGeometry, field: FieldKind, tp: ThermalPoi
     return (-(PI**2) * kt**4 * b * c / 45.0, 0.0, PI * kt**2 / 12.0)
 
 
-#: One-entry memo of the last box's temperature-independent parts: (key,
-#: {"e0": (E0, zero-T force), "c0": `_classical`'s tuple}), each part
-#: computed when first asked for.
-_zero_t_memo = None
-
-
-def _box_parts(geom: BoxGeometry, field: FieldKind, tol: float, max_points: int) -> dict:
-    """The memo's parts of this box, emptied when the box changes.
+@functools.lru_cache(maxsize=1)
+def _box_parts(a: float, sides: tuple, field: FieldKind, tol: float, max_points: int) -> dict:
+    """The last box's temperature-independent parts, filled as they are
+    asked for: {"e0": (E0, zero-T force), "c0": `_classical`'s tuple}.
 
     E0 depends on the sides only through their sorted order, the force and
     c0's a-derivative also on which of them is a; the budget is part of the
     key, so a budget too small for a pass raises even after a larger one
     succeeded.
     """
-    global _zero_t_memo
-    key = (geom.a, tuple(sorted(geom.sides)), field, tol, max_points)
-    if _zero_t_memo is None or _zero_t_memo[0] != key:
-        _zero_t_memo = (key, {})
-    return _zero_t_memo[1]
+    return {}
 
 
 def _zero_t(geom: BoxGeometry, field: FieldKind, tol: float, max_points: int):
     """(E0, zero-T force) of the box, from one evaluation of E0 and its
-    gradient, memoized, so a temperature sweep evaluates them once."""
-    parts = _box_parts(geom, field, tol, max_points)
+    gradient, kept in `_box_parts`, so a temperature sweep evaluates them once."""
+    parts = _box_parts(geom.a, tuple(sorted(geom.sides)), field, tol, max_points)
     if "e0" not in parts:
         parts["e0"] = e0_and_force_x(geom, field, tol, max_points)
     return parts["e0"]
 
 
 def _classical(geom: BoxGeometry, field: FieldKind, tol: float, max_points: int):
-    """`_matsubara.classical` of the box, memoized with E0."""
-    parts = _box_parts(geom, field, tol, max_points)
+    """`_matsubara.classical` of the box, kept in `_box_parts` with E0."""
+    parts = _box_parts(geom.a, tuple(sorted(geom.sides)), field, tol, max_points)
     if "c0" not in parts:
         from . import _matsubara
 
@@ -393,25 +399,14 @@ _ROUNDOFF = 8.0 * sys.float_info.epsilon
 #: the images along a cold side cancel against c0 (see `_modesum`).
 _T_CROSS = {FieldKind.SCALAR_DIRICHLET: 0.5, FieldKind.ELECTROMAGNETIC: 1.5}
 
-#: One-entry cache of (key, row) for `_row`.
-_last_row = None
 
-
+@functools.lru_cache(maxsize=1)
 def _row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: float,
          max_points: int) -> _Row:
-    """The row at this state point; the last one evaluated is kept, so F,
-    the force, U and S asked for in turn cost one evaluation."""
-    global _last_row
-    key = (geom.sides, field, tp.temperature, tol, max_points)
-    if _last_row is None or _last_row[0] != key:
-        _last_row = (key, _evaluate_row(geom, field, tp, tol, max_points))
-    return _last_row[1]
-
-
-def _evaluate_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: float,
-                  max_points: int) -> _Row:
-    """The row in the Matsubara form where max t_i <= _T_CROSS, else in the
-    direct form."""
+    """The row at this state point, in the Matsubara form where
+    max t_i <= _T_CROSS, else in the direct form.  The last one evaluated is
+    kept, keyed on the exact (sides, field, T, tol, max_points), so F, the
+    force, U and S asked for in turn cost one evaluation."""
     if max(tp.reduced_t(s) for s in geom.sides) <= _T_CROSS[field]:
         return _matsubara_row(geom, field, tp, tol, max_points)
     return _direct_row(geom, field, tp, tol, max_points)

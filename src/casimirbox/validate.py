@@ -16,12 +16,12 @@ Pinned oracle outputs live in data/fixtures.txt, one per line:
     name key=value ... value=<17 significant digits> tol=<relative>
 
 The checks compare the production implementation against those pins and a
-handful of closed-form golden values.
+handful of closed-form golden values, so `run_checks` needs no mpmath: only
+the mpmath oracles, which `regenerate_fixtures` and the tests run, import it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -52,14 +52,12 @@ __all__ = [
 _ORACLE_X_RANGE = (0.01, 50.0)
 
 
-@functools.lru_cache(maxsize=1024)
 def oracle_bessel_k(order: float, x: float) -> float:
     """K_order(x) from mpmath's besselk in 30-digit arithmetic.
 
     Valid for x in [0.01, 50]; independent of specfun's evaluation, which
-    shares neither its series nor its integral representation.  Cached:
-    K_0 and K_1 take up to 0.1 s each near x = 50, and the checks reuse
-    one grid.
+    shares neither its series nor its integral representation.  K_0 and K_1
+    take up to 0.1 s each near x = 50, so the checks read its values from pins.
     """
     import mpmath  # imported only by the oracles that need it
 
@@ -411,6 +409,13 @@ _FIXTURE_SPECS += [
     for kind in ("E0S", "E0EM")
 ]
 
+#: The oracle's K_nu of each order at 20 points of its x range
+_FIXTURE_SPECS += [
+    (f"bessel_grid_k{order:g}_{i}", "bessel", {"order": order, "x": float(x)}, 0, 1e-11)
+    for order in (0.0, 0.5, 1.0, 1.5)
+    for i, x in enumerate(np.linspace(*_ORACLE_X_RANGE, 20))
+]
+
 
 def _field_from_flag(flag: float) -> FieldKind:
     return FieldKind.ELECTROMAGNETIC if flag else FieldKind.SCALAR_DIRICHLET
@@ -514,8 +519,7 @@ def _fixture_actual(fix: Fixture) -> float:
     if fix.kind in ("X", "Y"):
         field = FieldKind.SCALAR_DIRICHLET if fix.kind == "X" else FieldKind.ELECTROMAGNETIC
         betas = (p["beta_a"], p["beta_b"], p["beta_c"])
-        sums = thermal._mode_sums(field, betas, 1e-12, DEFAULT_BUDGET, ("log",))[0]
-        return sums["log"]
+        return thermal._mode_sums(field, betas, 1e-12, DEFAULT_BUDGET)[0]["log"]
     if fix.kind in ("E0S", "E0EM"):
         field = FieldKind.SCALAR_DIRICHLET if fix.kind == "E0S" else FieldKind.ELECTROMAGNETIC
         return boxzero.e0(BoxGeometry(p["a"], p["b"], p["c"]), field)
@@ -561,16 +565,6 @@ def run_checks(name_filter: str | None = None, fixtures_path=None) -> list[Check
         lambda: (math.sqrt(PI / 4.0) * math.exp(-2.0), bessel_k(0.5, 2.0)),
     )
     add("bessel:recurrence_k32", 1e-13, lambda: (bessel_k(0.5, 1.0) * 2.0, bessel_k(1.5, 1.0)))
-
-    def oracle_grid_max_dev() -> float:
-        grid = np.linspace(0.01, 50.0, 20)
-        return max(
-            _rel(oracle_bessel_k(order, float(x)), bessel_k(order, float(x)))
-            for order in (0.0, 0.5, 1.0, 1.5)
-            for x in grid
-        )
-
-    add_bound("bessel:oracle_grid_max_dev", 1e-11, oracle_grid_max_dev)
 
     # paper-anchored electromagnetic cube energy (dimensionless a*E0)
     cube = BoxGeometry(1.0, 1.0, 1.0)

@@ -150,6 +150,15 @@ class TestLatticeR:
     def test_far_tail_negligible(self):
         assert abs(lattice_r(12.0, 12.0)) < 1e-25
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-16])
+    def test_wide_boxes_whose_cut_level_underflows(self, tol):
+        # near z = 111 - 117, min(tol, eps) times the first term underflows
+        # to 0 while the first term does not; R stays finite, >= 0 and
+        # falls with z
+        values = [lattice_r(float(z), float(z), tol) for z in np.linspace(100.0, 120.0, 201)]
+        assert all(math.isfinite(v) and v >= 0.0 for v in values)
+        assert values == sorted(values, reverse=True)
+
     def test_budget_exhaustion(self):
         with pytest.raises(ConvergenceError):
             lattice_r(1e-4, 1e-4, max_terms=1000)

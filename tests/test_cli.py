@@ -1,6 +1,8 @@
 import io
+import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -375,6 +377,12 @@ class TestExitCodes:
         assert out == ""
         assert "usage error" in err
 
+    def test_wide_box_exits_0(self):
+        # b/a = 115: E0's R pass once took the log of an underflowed cut level
+        status, out, err = run_cli(["e0", "--field", "em", "--a", "1", "--b", "115", "--c", "115"])
+        assert status == 0, err
+        assert math.isfinite(float(row_as_dict(out)["total_dimless"]))
+
     def test_convergence_error_exit_3(self):
         status, out, err = run_cli(
             [
@@ -531,6 +539,23 @@ class TestImports:
             "'casimirbox.validate') if m in sys.modules))"
         )
         assert out.splitlines()[-1] == "[]"
+
+
+class TestGoldenOutput:
+    def test_benchmark_calls_print_their_pinned_stdout(self):
+        # the benchmark's seven argv lists, read from perfbench/workloads.py
+        # without importing the harness, print byte for byte the stdout
+        # pinned in cli_golden.json
+        tests = os.path.dirname(os.path.abspath(__file__))
+        calls = runpy.run_path(os.path.join(os.path.dirname(tests), "perfbench", "workloads.py"),
+                               run_name="workloads")["CLI_CALLS"]
+        with open(os.path.join(tests, "cli_golden.json")) as fh:
+            golden = json.load(fh)
+        assert sorted(golden) == sorted(calls)
+        for name, argv in calls.items():
+            status, out, _ = run_cli(argv)
+            assert (status, out) == (golden[name]["status"], golden[name]["stdout"]), name
+
 
 class TestValidateCommand:
     def test_all_checks_pass_and_exit_zero(self):

@@ -51,6 +51,13 @@ def tp_for_akt(a: float, akt: float) -> ThermalPoint:
     return ThermalPoint(akt * HBAR_C / (K_BOLTZMANN * a))
 
 
+def direct_raw(geom, field, tp, tol=1e-10, max_points=DEFAULT_BUDGET):
+    """kT times the field's log mode sum, summed by `thermal._mode_sums`
+    whatever form the row takes: the raw thermal correction of the direct
+    form, independent of E0, c0 and the Matsubara images."""
+    return tp.kt * thermal._mode_sums(field, tp.reduced(geom), tol, max_points)[0]["log"]
+
+
 class TestThermalPoint:
     def test_reduced_t_anchor(self):
         # a = 2 um at 300 K sits at t = T_eff/T ~ 1.908
@@ -90,7 +97,7 @@ class TestThermalPoint:
         box = BoxGeometry(*sides)
         for temperature in (thermal.T_MIN, thermal.T_MAX):
             tp = ThermalPoint(temperature)
-            row = thermal._evaluate_row(box, field, tp, 1e-10, DEFAULT_BUDGET)
+            row = thermal._row(box, field, tp, 1e-10, DEFAULT_BUDGET)
             free = row.free
             assert all(math.isfinite(v) for v in (free.total, free.thermal_raw, free.bb_term,
                                                   row.force, row.internal, row.entropy))
@@ -136,10 +143,12 @@ class TestThermalRaw:
         assert y == pytest.approx(Y_UNIT_CUBE_T1, rel=1e-9, abs=0)
 
     def test_reduced_variable_invariance(self):
-        # (a,b,c,T) and (2a,2b,2c,T/2) share the X value exactly
+        # (a,b,c,T) and (2a,2b,2c,T/2) share the X value exactly, and the
+        # row's thermal_raw, E0 and the subtractions scaling too, to rounding
         tp1 = ThermalPoint(300.0)
         tp2 = ThermalPoint(150.0)
         g2 = CUBE_2UM.scaled(2.0)
+        assert 2.0 * direct_raw(g2, SCALAR, tp2) == direct_raw(CUBE_2UM, SCALAR, tp1)
         raw1 = thermal_raw(CUBE_2UM, SCALAR, tp1)
         raw2 = thermal_raw(g2, SCALAR, tp2)
         assert 2.0 * raw2 == pytest.approx(raw1, rel=1e-12, abs=0)
@@ -159,13 +168,29 @@ class TestThermalRaw:
         raw_e = thermal_raw(CUBE_2UM, EM, TP300)
         assert raw_e < 2.0 * raw_s < 0.0
 
+    @pytest.mark.parametrize("field", [SCALAR, EM])
+    def test_is_the_rows_cell(self, monkeypatch, field):
+        # the 1 um cube in the direct form (300 K, 3 kK) and the Matsubara
+        # form (30 kK, 160 kK): the row's cell, summed by no lattice of its
+        # own, within tol of the direct mode sum
+        g = BoxGeometry(1e-6, 1e-6, 1e-6)
+        for temperature in (300.0, 3000.0, 30e3, 160e3):
+            tp = ThermalPoint(temperature)
+            direct = direct_raw(g, field, tp)
+            cell = free_energy(g, field, tp).thermal_raw
+            with monkeypatch.context() as m:
+                for module, name in ((_modesum, "lattice_sums"), (_matsubara, "_image_sums")):
+                    m.setattr(module, name, None)
+                assert thermal_raw(g, field, tp) == cell
+            assert cell == pytest.approx(direct, rel=thermal.DEFAULT_TOL, abs=0)
+
     def test_budget_exhaustion(self):
         hot = ThermalPoint(5000.0)
         big = BoxGeometry(50e-6, 50e-6, 50e-6)
         # the message states the estimated points and the budget
         match = r"needs about \S+ lattice points, budget 1000$"
         with pytest.raises(ConvergenceError, match=match):
-            thermal_raw(big, SCALAR, hot, max_points=1000)
+            direct_raw(big, SCALAR, hot, max_points=1000)
 
     @pytest.mark.parametrize("series", [_modesum.log_sum, _modesum.force_sum, _modesum.energy_sum])
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10, 0.5])
@@ -447,12 +472,12 @@ class TestDualForm:
             geom = BoxGeometry(*(s * 1e-6 for s in sides))
             for field in (SCALAR, EM):
                 for temperature in THERMO_TEMPS_LOW + THERMO_TEMPS_HIGH:
-                    thermal._evaluate_row(geom, field, ThermalPoint(temperature),
-                                          thermal.DEFAULT_TOL, DEFAULT_BUDGET)
+                    thermal._row(geom, field, ThermalPoint(temperature),
+                                 thermal.DEFAULT_TOL, DEFAULT_BUDGET)
         assert calls["plan"] == 0
         for side in (1000e-6, 3000e-6):
-            thermal._evaluate_row(BoxGeometry(1e-6, side, side), EM, TP300,
-                                  thermal.DEFAULT_TOL, DEFAULT_BUDGET)
+            thermal._row(BoxGeometry(1e-6, side, side), EM, TP300,
+                         thermal.DEFAULT_TOL, DEFAULT_BUDGET)
         assert calls["plan"] > 0
         assert calls["plan"] == calls["evaluate"]
 
@@ -566,7 +591,7 @@ class TestMatsubaraForm:
         g = BoxGeometry(*(s * 1e-6 for s in sides_um))
         for temperature in (100e3, 130e3, 160e3):
             tp = ThermalPoint(temperature)
-            row = thermal._evaluate_row(g, field, tp, 1e-10, DEFAULT_BUDGET)
+            row = thermal._row(g, field, tp, 1e-10, DEFAULT_BUDGET)
             for floor, total in zip(row.floors, self.totals(row, tp)):
                 assert floor <= 1e-10 * abs(total)
 
@@ -582,8 +607,8 @@ class TestMatsubaraForm:
         monkeypatch.setattr(_matsubara, "zeta_prime", counted("zeta_prime", _matsubara.zeta_prime))
         monkeypatch.setattr(_modesum, "lattice_sums",
                             counted("lattice_sums", _modesum.lattice_sums))
-        monkeypatch.setattr(thermal, "_zero_t_memo", None)
-        monkeypatch.setattr(thermal, "_last_row", None)
+        thermal._box_parts.cache_clear()
+        thermal._row.cache_clear()
         g = BoxGeometry(2e-6, 2e-6, 2e-6)
         for field in (SCALAR, EM):
             calls.update(zeta_prime=0, lattice_sums=0)
@@ -602,6 +627,26 @@ class TestMatsubaraForm:
             free_energy(BoxGeometry(1e-6, 2e-6, 3e-6), EM, ThermalPoint(temperature))
         assert calls["zeta_prime"] == 0
 
+
+    @pytest.mark.parametrize("field, sides_um, sums", [
+        (SCALAR, (2.0, 2.0, 2.0), 3), (EM, (2.0, 2.0, 2.0), 2), (SCALAR, (1.0, 10.0, 10.0), 5)
+    ], ids=["scalar-cube", "em-cube", "scalar-slab"])
+    def test_row_sums_each_image_lattice_once(self, monkeypatch, field, sides_um, sums):
+        # products with one coefficient and equal t_i share an image sum: the
+        # cube's three pairs and three single axes; the slab's (a, b) and
+        # (a, c) pairs and its b and c axes
+        series = []
+
+        def spy(name, *args, real=_matsubara._image_sums):
+            series.append(name)
+            return real(name, *args)
+
+        monkeypatch.setattr(_matsubara, "_image_sums", spy)
+        thermal._row.cache_clear()
+        g, tp = BoxGeometry(*(s * 1e-6 for s in sides_um)), ThermalPoint(5000.0)
+        assert max(tp.reduced_t(s) for s in g.sides) <= thermal._T_CROSS[field]
+        free_energy(g, field, tp)
+        assert series.count("rho images") == sums
 
     def test_image_sums_over_budget_name_their_series(self):
         match = r"^c0 log sum: tolerance 1\.000e-10 needs \d+ lattice points, budget 10$"
@@ -622,8 +667,8 @@ class TestImageSums:
     the log kernel on the orthant of two and three axes (the direct form's
     mode lattices, here the 1 x 2 x 3 um box's at 300 K, electromagnetic)."""
 
-    MODES = {len(lattice): lattice for _, lattice, has_a in thermal._lattices(
-        EM, ThermalPoint(300.0).reduced(BoxGeometry(1e-6, 2e-6, 3e-6))) if has_a}
+    MODES = {len(lattice): lattice for _, lattice, names in thermal._lattices(
+        EM, ThermalPoint(300.0).reduced(BoxGeometry(1e-6, 2e-6, 3e-6))) if "force" in names}
 
     CALLS = {
         "r": lambda: boxzero._r_pass(0.5, 2.0),
@@ -734,8 +779,7 @@ class TestClassicalLimit:
         internal = internal_energy(self.CUBE, field, tp)
         # the roundoff floors of F, U and S kT: their pieces' sizes plus
         # the sum of |term| of their mode series
-        scales = thermal._mode_sums(field, tp.reduced(self.CUBE), tol,
-                                    DEFAULT_BUDGET, ("log", "energy"))[2]
+        scales = thermal._mode_sums(field, tp.reduced(self.CUBE), tol, DEFAULT_BUDGET)[2]
         modes_u = internal - free.e0_ren + 3.0 * free.bb_term + 2.0 * free.alpha1_term
         modes_u += free.alpha2_term
         bb, a1, a2 = (abs(free.bb_term), abs(free.alpha1_term), abs(free.alpha2_term))
@@ -1093,7 +1137,7 @@ class TestAsymptote:
         devs = []
         for akt in (4.0, 8.0, 16.0):
             tp = tp_for_akt(1.0, akt)
-            ratio = thermal_raw(g, field, tp) / asymptotic_thermal(g, field, tp)
+            ratio = direct_raw(g, field, tp) / asymptotic_thermal(g, field, tp)
             devs.append(abs(ratio - 1.0))
         assert devs[0] > devs[1] > devs[2]
         assert devs[-1] < 0.01
@@ -1106,7 +1150,7 @@ class TestAsymptote:
         g = BoxGeometry(1.0, 2.0, 3.0)
         for t in (0.5, 0.35, 0.25):
             tp = tp_for_akt(1.0, 1.0 / (2.0 * t))
-            diff = thermal_raw(g, field, tp, 1e-13) - asymptotic_thermal(g, field, tp)
+            diff = direct_raw(g, field, tp, 1e-13) - asymptotic_thermal(g, field, tp)
             image = tp.kt * (6.0 / t) * math.exp(-2.0 * PI / t)
             assert 0.01 * image <= abs(diff) <= 10.0 * image
 
@@ -1177,10 +1221,12 @@ class TestThermoRow:
         assert internal_energy(g, field, tp) == pytest.approx(u_ref, rel=1e-10, abs=0)
         assert entropy(g, field, tp) == pytest.approx(s_ref, rel=1e-10, abs=0)
 
-    @pytest.mark.parametrize(
-        "field, lattices", [(EM, [2, 2, 2, 3]), (SCALAR, [3])], ids=["em", "scalar"]
-    )
-    def test_row_enumerates_each_lattice_once(self, monkeypatch, field, lattices):
+    @pytest.mark.parametrize("field, g, lattices", [
+        (EM, CUBE_2UM, [2, 2, 3]),
+        (EM, BoxGeometry(1e-6, 2e-6, 3e-6), [2, 2, 2, 3]),
+        (SCALAR, CUBE_2UM, [3]),
+    ], ids=["em", "em-1x2x3", "scalar"])
+    def test_row_enumerates_each_lattice_once(self, monkeypatch, field, g, lattices):
         calls = []
         lattice_sums = _modesum.lattice_sums
 
@@ -1189,13 +1235,15 @@ class TestThermoRow:
             return lattice_sums(betas, *args, **kwargs)
 
         monkeypatch.setattr(_modesum, "lattice_sums", spy)
-        monkeypatch.setattr(thermal, "_last_row", None)
-        g, tp = CUBE_2UM, ThermalPoint(300.0)
+        thermal._row.cache_clear()
+        tp = ThermalPoint(300.0)
         free_energy(g, field, tp)
         force_x(g, field, tp)
         internal_energy(g, field, tp)
         entropy(g, field, tp)
-        # em: the triple lattice and the three one-zero-index lattices
+        # em: the triple lattice and the three one-zero-index lattices, of
+        # which the cube's (n, l) and (n, p) are one; its (l, p) lattice has
+        # their frequencies but needs no force
         assert sorted(calls) == lattices
         # another temperature, or another tolerance, is another row
         force_x(g, field, ThermalPoint(301.0))
@@ -1213,7 +1261,7 @@ class TestThermoRow:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(thermal, name, spy)
-        monkeypatch.setattr(thermal, "_zero_t_memo", None)
+        thermal._box_parts.cache_clear()
         g = BoxGeometry(1e-6, 2e-6, 3e-6)
         for temperature in (100.0, 200.0, 300.0):
             tp = ThermalPoint(temperature)

@@ -222,10 +222,13 @@ class TestRunChecks:
         assert all("plates" in r.name for r in results)
 
     def test_filter_skips_the_oracles_of_unselected_checks(self):
-        # mpmath is imported only by oracles that the plates checks do not run
+        # only the 30-digit oracles import mpmath, and no check runs them:
+        # the plates checks and then all of them pass without loading it
         code = (
-            "import sys; from casimirbox import validate; validate.run_checks('plates'); "
-            "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+            "import sys; from casimirbox import validate; "
+            "loaded = lambda: sorted(m for m in ('scipy', 'mpmath') if m in sys.modules); "
+            "print(all(r.passed for r in validate.run_checks('plates')), loaded()); "
+            "print(all(r.passed for r in validate.run_checks()), loaded())"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -233,7 +236,7 @@ class TestRunChecks:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split("\n") == ["True []", "True []", ""]
 
 
 def test_richardson_derivative_levels_and_disagreement():
