@@ -89,6 +89,7 @@ C1 = {FieldKind.SCALAR_DIRICHLET: 0.125, FieldKind.ELECTROMAGNETIC: -0.5}
 #: The constants that `_kernels` leaves out for one, two and three axes:
 #: 2 sqrt(pi), 8 pi and 8 pi^(3/2), times 2 pi per power of 1/u = 2 pi / r
 _PREFACTOR = {1: 4.0 * PI**1.5, 2: 16.0 * PI**2, 3: 32.0 * PI**3.5}
+_TWO_SQRT_PI = 2.0 * math.sqrt(PI)
 
 
 # ----------------------------------------------------------------------
@@ -235,12 +236,11 @@ def images(ts, field: FieldKind, tol: float, max_points: int):
     rho, grad, scale = [], ([], [], []), []
     summed = {}
     for coef, axes in _HEAT_TRACE[field]:
-        t_axes = tuple(ts[i] for i in axes)
+        t_axes = tuple([ts[i] for i in axes])
         size, r1 = len(axes), 2.0 * PI / max(t_axes)
         if r1 > 745.0:
             continue  # every term underflows
-        weight = -coef * _PREFACTOR[size] * math.prod(
-            1.0 / (2.0 * math.sqrt(PI) * t) for t in t_axes)
+        weight = -coef * _PREFACTOR[size] * math.prod([1.0 / (_TWO_SQRT_PI * t) for t in t_axes])
         if (coef, t_axes) not in summed:
             summed[coef, t_axes] = _image_sums(
                 "rho images", [2.0 * PI / t for t in t_axes], partial(_kernels, size, r1),

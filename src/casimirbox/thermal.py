@@ -55,13 +55,15 @@ sum of pieces, among them series, and carries two errors:
   floor.
 
 So a total is within max(tol |total|, floor) + floor of its exact value;
-below the floor's reach, within tol.  `thermal_raw` is the rows'
-`EnergyBreakdown.thermal_raw`: in the direct form their mode sum, in the
-Matsubara form their total less E0 and the subtractions, which it exceeds
-by about (kT a)^3, so its relative error stays near the total's.
-E0's own series error is not in the check: its G pass is summed to tol,
-its R pass and c0's sums to double precision.  `max_points` caps every sum
-of a row, the G and R passes of E0 and c0's sums included.
+below the floor's reach, within tol.  The printed `thermal_raw` and force
+mode term hold tol relative to themselves too, so the direct form sums
+every lattice, however far below the totals' floors.  `thermal_raw` is
+the rows' `EnergyBreakdown.thermal_raw`: in the direct form their mode
+sum, in the Matsubara form their total less E0 and the subtractions,
+which it exceeds by about (kT a)^3, so its relative error stays near the
+total's.  E0's own series error is not in the check: its G pass is summed
+to tol, its R pass and c0's sums to double precision.  `max_points` caps
+every sum of a row, the G and R passes of E0 and c0's sums included.
 
 Temperatures.  `ThermalPoint` takes T = 0 or T_MIN <= T <= T_MAX: up to
 T_MAX (1e32 K, about the Planck temperature) the (kT)^4 terms of the
@@ -89,7 +91,7 @@ from typing import NamedTuple
 
 from . import _modesum
 from .boxzero import BoxGeometry, FieldKind, e0, e0_and_force_x, e0_force_x
-from .errors import DEFAULT_BUDGET, DEFAULT_TOL
+from .errors import DEFAULT_BUDGET, DEFAULT_TOL, check_budget, check_tol
 from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
 
 __all__ = [
@@ -192,10 +194,6 @@ def mode_frequency(n: int, l: int, p: int, geom: BoxGeometry) -> float:
     return PI * math.sqrt((n / geom.a) ** 2 + (l / geom.b) ** 2 + (p / geom.c) ** 2)
 
 
-#: The kernels of the mode sums (`_modesum`)
-_KERNELS = ("log", "energy", "force")
-
-
 def _lattices(field: FieldKind, betas):
     """(multiplicity, reduced frequencies, kernels) of each of the field's
     mode lattices.
@@ -206,11 +204,12 @@ def _lattices(field: FieldKind, betas):
     n requires; the (l, p) lattice's frequencies do not depend on a, so it
     takes no force kernel.
     """
+    kernels = _modesum._KERNELS
     if field is FieldKind.SCALAR_DIRICHLET:
-        return [(1, betas, _KERNELS)]
+        return [(1, betas, kernels)]
     ba, bb, bc = betas
-    return [(2, betas, _KERNELS), (1, (bb, bc), _KERNELS[:2]), (1, (ba, bb), _KERNELS),
-            (1, (ba, bc), _KERNELS)]
+    return [(2, betas, kernels), (1, (bb, bc), kernels[:2]), (1, (ba, bb), kernels),
+            (1, (ba, bc), kernels)]
 
 
 def _mode_sums(field: FieldKind, betas, tol: float, max_points: int,
@@ -225,14 +224,13 @@ def _mode_sums(field: FieldKind, betas, tol: float, max_points: int,
     frequencies but needs no force.  A lattice that recurs is added once per
     occurrence, so the totals do not depend on which ones coincide.
     """
-    sums: dict = {name: [] for name in _KERNELS}
-    bounds = dict.fromkeys(_KERNELS, 0.0)
-    scales = dict.fromkeys(_KERNELS, 0.0)
+    sums: dict = {name: [] for name in _modesum._KERNELS}
+    bounds, scales = dict.fromkeys(_modesum._KERNELS, 0.0), dict.fromkeys(_modesum._KERNELS, 0.0)
     summed = {}
     for mult, lattice, names in _lattices(field, betas):
         if (lattice, names) not in summed:
-            summed[lattice, names] = _modesum.lattice_sums(lattice, tol, max_points, names,
-                                                           tighten)
+            summed[lattice, names] = _modesum._lattice_sums(lattice, names, tol, max_points,
+                                                            tighten)
         res = summed[lattice, names]
         for name in names:
             sums[name].append(mult * res.sums[name])
@@ -391,22 +389,24 @@ _ROUNDOFF = 8.0 * sys.float_info.epsilon
 
 #: The row takes the Matsubara form where the largest reduced temperature
 #: t_i = 1/(2 a_i kT) is at most this, by field.  One row in ms, (direct,
-#: Matsubara), best of 40 on a 2-CPU VM: scalar, the 2 um cube (0.62, 0.99)
-#: at t = 0.4 and (1.82, 0.67) at 0.3, the 1 x 10 x 10 um slab (2.55, 0.40)
-#: and the 10 x 1 x 1 um bar (2.83, 0.62) at 0.5; em, whose images are
+#: Matsubara), best of 40 on a 2-CPU VM: scalar, the 2 um cube (0.10, 0.26)
+#: at t = 0.4 and (0.25, 0.25) at 0.3, the 1 x 10 x 10 um slab (3.72, 0.28)
+#: and the 10 x 1 x 1 um bar (0.35, 0.38) at 0.5; em, whose images are
 #: elementary where the scalar's pairs need K_0 and K_1, the cube
-#: (1.11, 0.76), slab (0.94, 0.27) and bar (2.51, 0.32) at 1.5.  Above 1.5
+#: (0.19, 0.20), slab (0.25, 0.20) and bar (0.20, 0.20) at 1.5.  Above 1.5
 #: the images along a cold side cancel against c0 (see `_modesum`).
 _T_CROSS = {FieldKind.SCALAR_DIRICHLET: 0.5, FieldKind.ELECTROMAGNETIC: 1.5}
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)
 def _row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: float,
          max_points: int) -> _Row:
     """The row at this state point, in the Matsubara form where
     max t_i <= _T_CROSS, else in the direct form.  The last one evaluated is
-    kept, keyed on the exact (sides, field, T, tol, max_points), so F, the
-    force, U and S asked for in turn cost one evaluation."""
+    kept, keyed on the exact (sides, field, T, tol, max_points) and checked
+    once for every sum, so F, the force, U and S in turn cost one row."""
+    check_tol(tol)
+    check_budget(max_points)
     if max(tp.reduced_t(s) for s in geom.sides) <= _T_CROSS[field]:
         return _matsubara_row(geom, field, tp, tol, max_points)
     return _direct_row(geom, field, tp, tol, max_points)

@@ -383,6 +383,21 @@ class TestExitCodes:
         assert status == 0, err
         assert math.isfinite(float(row_as_dict(out)["total_dimless"]))
 
+    @pytest.mark.parametrize("field, raw", [("em", "-2.96010099932e-01"),
+                                            ("scalar", "-1.74048066436e-282")])
+    @pytest.mark.parametrize("tol", ["1e-10", "1e-14"])
+    def test_cold_thin_box_fits_the_budget(self, field, raw, tol):
+        # the triple lattice's ball holds about 1e7 points, but its one slab
+        # along the cold 1 um side 1.55e6 (tol 1e-10) and 1.93e6 (1e-14):
+        # within the default budget, the same line as with a larger one
+        argv = ["free-energy", "--field", field, "--a", "1", "--b", "4000", "--c", "4000",
+                "--temp", "11", "--tol", tol]
+        status, out, err = run_cli(argv)
+        assert status == 0, err
+        assert (status, out) == run_cli([*argv, "--max-shell", "20000000"])[:2]
+        if tol == "1e-10":
+            assert row_as_dict(out)["thermal_raw_dimless"] == raw
+
     def test_convergence_error_exit_3(self):
         status, out, err = run_cli(
             [

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -49,6 +50,24 @@ Y_UNIT_CUBE_T1 = -0.00045872658846693947
 def tp_for_akt(a: float, akt: float) -> ThermalPoint:
     """Temperature at which a * kT equals akt (natural units)."""
     return ThermalPoint(akt * HBAR_C / (K_BOLTZMANN * a))
+
+
+def form_sums(form, betas, tol, max_points=DEFAULT_BUDGET, kernels=("log", "energy", "force"),
+              tighten=1.0):
+    """`_modesum.lattice_sums` in the given form, "direct" or "dual", from its
+    own pieces: the direct form at its cut, or the dual form's plan."""
+    from casimirbox import _dualsum
+
+    betas, kernels = _modesum._checked(betas, tol, max_points, kernels, tighten)
+    targets = _modesum._targets(betas, tol, max_points, kernels)
+    if not targets:
+        return _modesum._zeros(betas, kernels)
+    if form == "direct":
+        cut = _modesum._direct_cut(betas, kernels, targets, tighten)
+        return _modesum._direct(betas, kernels, cut, tol, max_points)
+    plan = _dualsum.plan(betas, kernels, targets, tighten)
+    _modesum._budget(plan.terms, tol, max_points)
+    return _dualsum.evaluate(betas, kernels, plan)
 
 
 def direct_raw(geom, field, tp, tol=1e-10, max_points=DEFAULT_BUDGET):
@@ -179,7 +198,7 @@ class TestThermalRaw:
             direct = direct_raw(g, field, tp)
             cell = free_energy(g, field, tp).thermal_raw
             with monkeypatch.context() as m:
-                for module, name in ((_modesum, "lattice_sums"), (_matsubara, "_image_sums")):
+                for module, name in ((_modesum, "_lattice_sums"), (_matsubara, "_image_sums")):
                     m.setattr(module, name, None)
                 assert thermal_raw(g, field, tp) == cell
             assert cell == pytest.approx(direct, rel=thermal.DEFAULT_TOL, abs=0)
@@ -199,6 +218,13 @@ class TestThermalRaw:
             series((1.0, 2.0, 3.0), tol)
         with pytest.raises(ValueError, match="tol"):
             series((1.0, 2.0), tol)
+
+    def test_float_budget_raises_after_the_int_row(self):
+        # the row cache keys on types too: 5e6 == 5000000 must not hit the
+        # row summed with the int budget and skip the check
+        free_energy(CUBE_2UM, EM, TP300, 1e-10, DEFAULT_BUDGET)
+        with pytest.raises(ValueError, match="budget"):
+            free_energy(CUBE_2UM, EM, TP300, 1e-10, float(DEFAULT_BUDGET))
 
     @pytest.mark.parametrize("budget", [math.nan, math.inf, 1e6, 0, -5])
     def test_bad_budget_raises_before_any_sum(self, budget):
@@ -297,7 +323,7 @@ class TestCutoffBound:
         # ulp below, and pass the radius of a lattice summed as 0
         r1 = math.hypot(*betas)
         assume(r1 <= 745.0)
-        res = _modesum._direct_sums(betas, tol, kernels=(kernel,))
+        res = form_sums("direct", betas, tol, kernels=(kernel,))
         radius = res.radius
         # a first term that underflows to 0 is summed as 0, with no cutoff
         assume(radius > r1)
@@ -364,8 +390,8 @@ class TestDualForm:
     BUDGET = 50_000_000
 
     def check(self, betas, tol, tighten=1.0):
-        direct = _modesum._direct_sums(betas, tol, self.BUDGET, self.KERNELS, tighten)
-        dual = _modesum._dual_sums(betas, tol, self.BUDGET, self.KERNELS, tighten)
+        direct = form_sums("direct", betas, tol, self.BUDGET, self.KERNELS, tighten)
+        dual = form_sums("dual", betas, tol, self.BUDGET, self.KERNELS, tighten)
         assert (direct.form, dual.form) == ("direct", "dual")
         for name in self.KERNELS:
             allowed = (direct.bounds[name] + dual.bounds[name]
@@ -440,8 +466,11 @@ class TestDualForm:
     def test_overflowing_first_terms_raise(self, sums, betas):
         # exp(-r1) rounds to 1: the first terms are inf, and neither form
         # can meet a target tol times them
+        call = {"lattice_sums": _modesum.lattice_sums,
+                "_direct_sums": functools.partial(form_sums, "direct"),
+                "_dual_sums": functools.partial(form_sums, "dual")}[sums]
         with pytest.raises(ConvergenceError, match="needs about inf lattice points"):
-            getattr(_modesum, sums)(betas, 1e-10)
+            call(betas, 1e-10)
 
     @pytest.mark.parametrize("betas", [(1e-8,) * 3, (1e-8, 1e-8)])
     def test_force_alone_of_a_huge_lattice_raises_at_once(self, betas):
@@ -605,8 +634,8 @@ class TestMatsubaraForm:
             return wrapper
 
         monkeypatch.setattr(_matsubara, "zeta_prime", counted("zeta_prime", _matsubara.zeta_prime))
-        monkeypatch.setattr(_modesum, "lattice_sums",
-                            counted("lattice_sums", _modesum.lattice_sums))
+        monkeypatch.setattr(_modesum, "_lattice_sums",
+                            counted("lattice_sums", _modesum._lattice_sums))
         thermal._box_parts.cache_clear()
         thermal._row.cache_clear()
         g = BoxGeometry(2e-6, 2e-6, 2e-6)
@@ -682,8 +711,14 @@ class TestImageSums:
         each (series, lattice dimension) that the call makes."""
         seen, radii = {}, []
         radius_for = _modesum._radius_for
-        monkeypatch.setattr(_modesum, "_radius_for",
-                            lambda *args: radii.append(radius_for(*args)) or radii[-1])
+
+        def cut(*args):
+            # (radius, bound reached there): keep the radius
+            radius, reached = radius_for(*args)
+            radii.append(radius)
+            return radius, reached
+
+        monkeypatch.setattr(_modesum, "_radius_for", cut)
         for module in (boxzero, _matsubara):
             def spy(series, betas, *rest, real=module._image_sums):
                 result = real(series, betas, *rest)
@@ -1227,14 +1262,16 @@ class TestThermoRow:
         (SCALAR, CUBE_2UM, [3]),
     ], ids=["em", "em-1x2x3", "scalar"])
     def test_row_enumerates_each_lattice_once(self, monkeypatch, field, g, lattices):
+        # the row checks its arguments once and sums each lattice with
+        # `_lattice_sums`, which `lattice_sums` calls once it has checked them
         calls = []
-        lattice_sums = _modesum.lattice_sums
+        lattice_sums = _modesum._lattice_sums
 
         def spy(betas, *args, **kwargs):
             calls.append(len(betas))
             return lattice_sums(betas, *args, **kwargs)
 
-        monkeypatch.setattr(_modesum, "lattice_sums", spy)
+        monkeypatch.setattr(_modesum, "_lattice_sums", spy)
         thermal._row.cache_clear()
         tp = ThermalPoint(300.0)
         free_energy(g, field, tp)
