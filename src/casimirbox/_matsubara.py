@@ -12,7 +12,8 @@ Spectral Functions in Mathematics and Physics, CRC 2002).
 
 Heat trace.  With A_i(tau) = (a_i / sqrt(pi tau)) sum_{j in Z} exp(-a_i^2 j^2 / tau),
 which is sum_{n in Z} exp(-tau (pi n / a_i)^2) by Poisson's formula, the
-heat trace of the field's modes w^2 = pi^2 (n^2/a^2 + l^2/b^2 + p^2/c^2) is
+heat trace of the field's modes w^2 = pi^2 (n^2/a^2 + l^2/b^2 + p^2/c^2),
+expanded from the mode lattices `boxzero._LATTICES` (`boxzero._derive`), is
 
     scalar:  (prod A_i - sum A_i A_k + sum A_i - 1) / 8
     em:      prod A_i / 4 - sum A_i / 4 + 1/2.
@@ -64,27 +65,16 @@ from __future__ import annotations
 import math
 import sys
 from functools import partial
-from itertools import combinations
 
 import numpy as np
 
 from ._modesum import _image_sums, _log_kernel
-from .boxzero import FieldKind, _g_pass, _k32
+from .boxzero import FieldKind, _g_pass, _k32, _spectrum
 from .specfun import PI, ZETA3, bessel_k
 
-__all__ = ["C1", "zeta_prime", "classical", "images", "row_pieces"]
+__all__ = ["zeta_prime", "classical", "images", "row_pieces"]
 
 _EPS = sys.float_info.epsilon
-
-#: (coefficient, axes) of each product of the A_i in the heat trace
-_HEAT_TRACE = {
-    FieldKind.SCALAR_DIRICHLET: [(0.125, (0, 1, 2)), (-0.125, (0, 1)), (-0.125, (0, 2)),
-                                 (-0.125, (1, 2)), (0.125, (0,)), (0.125, (1,)), (0.125, (2,))],
-    FieldKind.ELECTROMAGNETIC: [(0.25, (0, 1, 2)), (-0.25, (0,)), (-0.25, (1,)), (-0.25, (2,))],
-}
-
-#: c1, minus the heat trace's constant term
-C1 = {FieldKind.SCALAR_DIRICHLET: 0.125, FieldKind.ELECTROMAGNETIC: -0.5}
 
 #: The constants that `_kernels` leaves out for one, two and three axes:
 #: 2 sqrt(pi), 8 pi and 8 pi^(3/2), times 2 pi per power of 1/u = 2 pi / r
@@ -145,17 +135,15 @@ def _z3_terms(sides, tol: float, max_points: int) -> list:
 def zeta_prime(sides, field: FieldKind, tol: float, max_points: int):
     """zeta'(0) of the field's modes in the box as (value, a_i d/da_i of it
     for each side, sum of |term| of the value, and of each derivative)."""
-    if field is FieldKind.SCALAR_DIRICHLET:
-        pieces = [(1.0, _z3_terms(sides, tol, max_points))]
-        pieces += [(-1.0, _z2_terms(sides, i, k, tol, max_points))
-                   for i, k in combinations(range(3), 2)]
-    else:
-        pieces = [(2.0, _z3_terms(sides, tol, max_points))]
-    sign = 1.0 if field is FieldKind.SCALAR_DIRICHLET else -2.0
-    pieces += [(sign, [(-2.0 * math.log(2.0 * s), {i: -2.0})]) for i, s in enumerate(sides)]
-    # both fields carry an overall 1/8
-    terms = [(coef / 8.0 * v, {i: coef / 8.0 * d for i, d in grad.items()})
-             for coef, part in pieces for v, grad in part]
+    terms = []
+    for axes, coef in _spectrum(field).trace.items():
+        if len(axes) == 3:
+            part = _z3_terms(sides, tol, max_points)
+        elif len(axes) == 2:
+            part = _z2_terms(sides, *axes, tol, max_points)
+        else:
+            part = [(-2.0 * math.log(2.0 * sides[axes[0]]), {axes[0]: -2.0})]
+        terms += [(coef * v, {i: coef * d for i, d in grad.items()}) for v, grad in part]
     values = [v for v, _ in terms]
     grads = [[grad.get(i, 0.0) for _, grad in terms] for i in range(3)]
     return (math.fsum(values), tuple(math.fsum(col) for col in grads),
@@ -168,7 +156,7 @@ def classical(sides, field: FieldKind, tol: float, max_points: int):
     c0 = -zeta'(0)/2 of the box scaled to a = 1, where the c1 ln a terms
     cancel; a d/da of zeta'(0) is the same in either scale.
     """
-    a, c1 = sides[0], C1[field]
+    a, c1 = sides[0], _spectrum(field).c1
     z, grad, z_size, grad_size = zeta_prime(tuple(s / a for s in sides), field, tol, max_points)
     return (-0.5 * z, (-0.5 * grad[0] - c1) / a, 0.5 * z_size, (0.5 * grad_size[0] + abs(c1)) / a)
 
@@ -235,7 +223,8 @@ def images(ts, field: FieldKind, tol: float, max_points: int):
     """
     rho, grad, scale = [], ([], [], []), []
     summed = {}
-    for coef, axes in _HEAT_TRACE[field]:
+    spectrum = _spectrum(field)
+    for axes, coef in spectrum.trace.items():
         t_axes = tuple([ts[i] for i in axes])
         size, r1 = len(axes), 2.0 * PI / max(t_axes)
         if r1 > 745.0:
@@ -244,7 +233,7 @@ def images(ts, field: FieldKind, tol: float, max_points: int):
         if (coef, t_axes) not in summed:
             summed[coef, t_axes] = _image_sums(
                 "rho images", [2.0 * PI / t for t in t_axes], partial(_kernels, size, r1),
-                *_envelope(size, r1), math.log(0.125 * _EPS * abs(C1[field] / weight)), tol,
+                *_envelope(size, r1), math.log(0.125 * _EPS * abs(spectrum.c1 / weight)), tol,
                 max_points)
         s0, slopes, s0_abs, points = summed[coef, t_axes]
         if not points:
@@ -265,7 +254,7 @@ def row_pieces(kt: float, a: float, ts, field: FieldKind, classical_parts, tol: 
     S kT = U - F, and -dF/da = -kT (c1/a + dc0/da) + (kT/a) t_a d rho/dt_a.
     `classical_parts` is `classical` of the box."""
     c0, dc0, c0_size, dc0_size = classical_parts
-    c1 = C1[field]
+    c1 = _spectrum(field).c1
     rho, grad, size = images(ts, field, tol, max_points)
     log_kta = math.log(kt * a)
     slope = math.fsum(grad)

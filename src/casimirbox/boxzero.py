@@ -19,6 +19,9 @@ in 1/m):
     E0_em     = -pi^2 b c/(720 a^3) - zeta(3) c/(16 pi b^2)
                 + (pi/48)(1/a + 1/b) + (pi/b) G(c/b) - (2/a) R(b/a, c/a)
 
+Both are derived, not written out: `_e0_gradient` sums E0 over the heat
+trace that `_derive` expands from the one per-field table, `_LATTICES`.
+
 Each form holds for any assignment of the sides to (a, b, c), but G and
 R converge in a handful of terms only when their arguments are at least
 1, and slowly, losing digits, below that.  `e0` therefore sorts the sides
@@ -34,8 +37,8 @@ integral test to double precision, since E0 and the zero-T force it feeds
 are pinned to 1e-12 and better.
 
 The zero-temperature force is a view of the analytic gradient of E0, not a
-finite difference: dE0/db and dE0/dc by the chain rule through the sums'
-arguments b/a, c/a (and c/b), and dE0/da from the homogeneity identity
+finite difference: dE0/db and dE0/dc term by term, by the chain rule
+through the sums' arguments, and dE0/da from the homogeneity identity
 a dE0/da + b dE0/db + c dE0/dc = -E0, exact because E0 scales as 1/length.
 """
 
@@ -43,8 +46,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 
@@ -103,10 +108,57 @@ class BoxGeometry:
 
 
 class FieldKind(Enum):
-    """Field type: selects the energy formula and the subtraction set."""
+    """Field type: selects the field's mode lattices, `_LATTICES`."""
 
     SCALAR_DIRICHLET = "scalar"
     ELECTROMAGNETIC = "em"
+
+
+#: The one per-field table: each field's modes as orthant lattices
+#: {axes: multiplicity}, n_i >= 1 on the axes named and 0 on the others,
+#: in the direct form's order; every per-field formula is derived from it.
+#: The em field has the triple lattice twice (two polarizations).
+_LATTICES = {
+    FieldKind.SCALAR_DIRICHLET: {(0, 1, 2): 1},
+    FieldKind.ELECTROMAGNETIC: {(0, 1, 2): 2, (1, 2): 1, (0, 1): 1, (0, 2): 1},
+}
+
+
+#: A field's tables, derived at import: its `_LATTICES` entry, the heat
+#: trace {S: coef_S} of sum_S coef_S prod_{i in S} A_i, c1 (minus its
+#: constant term) and E0's pieces (coefficient, slots) (`_e0_gradient`)
+_Spectrum = namedtuple("_Spectrum", "lattices trace c1 e0")
+
+
+def _derive(lattices: dict) -> _Spectrum:
+    """Expand each lattice's heat trace prod_{i in S} (A_i - 1)/2, A_i that of
+    one axis (`_matsubara`), and collect E0's pieces: Z_1 of slot s is
+    -pi/(6 s), Z_2 of (q, p) that of p and its pair part, and Z_3 that of
+    Z_2 of the slots (1, 2) and W.  The table is symmetric in the axes, as
+    the spectrum is, so E0 may read them as sorted slots."""
+    coefs = {}
+    for axes, mult in lattices.items():
+        for k in range(len(axes) + 1):
+            for sub in combinations(axes, k):
+                coefs[sub] = coefs.get(sub, 0.0) + mult * (-0.5) ** (len(axes) - k) * 0.5**k
+    trace = {s: coefs[s] for s in sorted(coefs, key=lambda s: (-len(s), s)) if s and coefs[s]}
+    e0 = {}
+    for axes, coef in trace.items():
+        for slots in {1: [axes], 2: [axes, axes[1:]], 3: [axes, (1, 2), (2,)]}[len(axes)]:
+            e0[slots] = e0.get(slots, 0.0) + coef
+    return _Spectrum(lattices, trace, -coefs[()],
+                     tuple((0.5 * c, slots) for slots, c in e0.items() if c))
+
+
+_SPECTRA = {field: _derive(lattices) for field, lattices in _LATTICES.items()}
+
+
+def _spectrum(field: FieldKind) -> _Spectrum:
+    """The field's tables: the one place an unknown field kind raises."""
+    try:
+        return _SPECTRA[field]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown field kind {field!r}") from None
 
 
 #: zeta(2): sum_{n l = m} n/l <= zeta(2) m and sum_{n l = m} n^2 <= zeta(2) m^2.
@@ -227,35 +279,42 @@ def lattice_r(z1: float, z2: float, tol: float = DEFAULT_TOL,
 def _e0_gradient(sides, field: FieldKind, tol: float, max_terms: int = DEFAULT_BUDGET):
     """E0 and its gradient (dE0/da, dE0/db, dE0/dc), the sides in the slots given.
 
-    b and c enter the closed form through its polynomial terms and the sums'
-    arguments b/a, c/a (and c/b), so dE0/db and dE0/dc follow by the chain
-    rule from the derivatives of the G and R passes.  E0 is homogeneous of
-    degree -1 in the sides, so Euler's identity gives the third exactly:
-    a dE0/da = -E0 - b dE0/db - c dE0/dc.
+    E0 = (1/2) sum_S coef_S Z_S(-1/2), collected by piece in `_Spectrum.e0`:
+    -pi/(6 s) of one slot; Z_2 of (q, p) (`_matsubara`) less its -pi/(6 p),
+    with one G pass per distinct p/q; and W = Z_3 - Z_2 of (b, c) =
+    -pi^2 b c/(90 a^3) - (16/a) R(b/a, c/a).  Pieces whose coefficients
+    cancel are not evaluated: the scalar runs G(b/a), G(c/a) and R, the em
+    field G(c/b) and R.  The b and c derivatives follow piece by piece; E0
+    is homogeneous of degree -1, so Euler's identity gives the third
+    exactly: a dE0/da = -E0 - b dE0/db - c dE0/dc.
     """
     a, b, c = sides
-    r, r_b, r_c = _r_pass(b / a, c / a, tol, max_terms)
-    if field is FieldKind.SCALAR_DIRICHLET:
-        g_b, dg_b = _g_pass(b / a, tol, max_terms)
-        g_c, dg_c = (g_b, dg_b) if c == b else _g_pass(c / a, tol, max_terms)
-        energy = math.fsum([-(PI**2) * b * c / (1440.0 * a**3),
-                            ZETA3 * (b + c) / (32.0 * PI * a**2), -PI / (96.0 * a),
-                            -(PI / (2.0 * a)) * (g_b + g_c), -(1.0 / a) * r])
-        e_b = math.fsum([-(PI**2) * c / (1440.0 * a**3), ZETA3 / (32.0 * PI * a**2),
-                         -(PI / (2.0 * a**2)) * dg_b, -r_b / a**2])
-        e_c = math.fsum([-(PI**2) * b / (1440.0 * a**3), ZETA3 / (32.0 * PI * a**2),
-                         -(PI / (2.0 * a**2)) * dg_c, -r_c / a**2])
-    elif field is FieldKind.ELECTROMAGNETIC:
-        g, dg = _g_pass(c / b, tol, max_terms)
-        energy = math.fsum([-(PI**2) * b * c / (720.0 * a**3), -ZETA3 * c / (16.0 * PI * b**2),
-                            (PI / 48.0) * (1.0 / a + 1.0 / b), (PI / b) * g, -(2.0 / a) * r])
-        e_b = math.fsum([-(PI**2) * c / (720.0 * a**3), ZETA3 * c / (8.0 * PI * b**3),
-                         -PI / (48.0 * b**2), -(PI / b**2) * (g + (c / b) * dg),
-                         -2.0 * r_b / a**2])
-        e_c = math.fsum([-(PI**2) * b / (720.0 * a**3), -ZETA3 / (16.0 * PI * b**2),
-                         (PI / b**2) * dg, -2.0 * r_c / a**2])
-    else:
-        raise ValueError(f"unknown field kind {field!r}")
+    values, grad, g_passes = [], {1: [], 2: []}, {}  # pieces of E0, dE0/db and dE0/dc
+    for half, slots in _spectrum(field).e0:
+        if len(slots) == 3:
+            r, r_b, r_c = _r_pass(b / a, c / a, tol, max_terms)
+            cube = 90.0 * a**3
+            values += [half * (-(PI**2) * b * c / cube), half * (-16.0 / a * r)]
+            grad[1] += [half * (-(PI**2) * c / cube), half * (-16.0 * r_b / a**2)]
+            grad[2] += [half * (-(PI**2) * b / cube), half * (-16.0 * r_c / a**2)]
+        elif len(slots) == 2:
+            i, k = slots
+            q, p = sides[i], sides[k]
+            z = p / q
+            if z not in g_passes:
+                g_passes[z] = _g_pass(z, tol, max_terms)
+            g, dg = g_passes[z]
+            values += [half * (-ZETA3 * p / (2.0 * PI * q**2)), half * (8.0 * PI / q * g)]
+            grad[k] += [half * (-ZETA3 / (2.0 * PI * q**2)), half * (8.0 * PI / q**2 * dg)]
+            if i:
+                grad[i] += [half * (ZETA3 * p / (PI * q**3)),
+                            half * (-(8.0 * PI / q**2) * (g + z * dg))]
+        else:
+            (i,) = slots
+            values.append(half * (-PI / (6.0 * sides[i])))
+            if i:
+                grad[i].append(half * (PI / (6.0 * sides[i] ** 2)))
+    energy, e_b, e_c = math.fsum(values), math.fsum(grad[1]), math.fsum(grad[2])
     return energy, (-math.fsum([energy, b * e_b, c * e_c]) / a, e_b, e_c)
 
 

@@ -17,6 +17,9 @@ alpha2 = -pi(a+b+c)/24, and (em) V_pref = pi^2/45, alpha1 = 0,
 alpha2 = +pi(a+b+c)/12.  Everything is in natural units (energies 1/m,
 temperatures through kT/(hbar c) in 1/m).
 
+These are the values derived from the one per-field table of mode
+lattices, `boxzero._LATTICES` (`_lattices`, `subtraction_coeffs`).
+
 Force, internal energy and entropy come from exact term-wise derivatives
 of the same representation, the zero-temperature force from the analytic
 gradient of E0; nothing is differentiated numerically.
@@ -90,7 +93,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _modesum
-from .boxzero import BoxGeometry, FieldKind, e0, e0_and_force_x, e0_force_x
+from .boxzero import BoxGeometry, FieldKind, _spectrum, e0, e0_and_force_x, e0_force_x
 from .errors import DEFAULT_BUDGET, DEFAULT_TOL, check_budget, check_tol
 from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
 
@@ -196,20 +199,15 @@ def mode_frequency(n: int, l: int, p: int, geom: BoxGeometry) -> float:
 
 def _lattices(field: FieldKind, betas):
     """(multiplicity, reduced frequencies, kernels) of each of the field's
-    mode lattices.
+    mode lattices (`boxzero._LATTICES`).
 
-    scalar: the n, l, p >= 1 triple lattice.  em: the triple lattice twice
-    (two polarizations) plus the three lattices with exactly one index
-    zero.  The a axis comes first wherever it occurs, as the force kernel's
-    n requires; the (l, p) lattice's frequencies do not depend on a, so it
+    The a axis comes first wherever it occurs, as the force kernel's n
+    requires; the (l, p) lattice's frequencies do not depend on a, so it
     takes no force kernel.
     """
-    kernels = _modesum._KERNELS
-    if field is FieldKind.SCALAR_DIRICHLET:
-        return [(1, betas, kernels)]
-    ba, bb, bc = betas
-    return [(2, betas, kernels), (1, (bb, bc), kernels[:2]), (1, (ba, bb), kernels),
-            (1, (ba, bc), kernels)]
+    names = _modesum._KERNELS
+    return [(mult, tuple([betas[i] for i in axes]), names if axes[0] == 0 else names[:2])
+            for axes, mult in _spectrum(field).lattices.items()]
 
 
 def _mode_sums(field: FieldKind, betas, tol: float, max_points: int,
@@ -255,6 +253,7 @@ def thermal_raw(
     through the products aT, bT, cT.
     """
     if tp.temperature == 0.0:
+        _spectrum(field)  # an unknown field raises at every temperature
         return 0.0
     return free_energy(geom, field, tp, tol, max_points).thermal_raw
 
@@ -262,10 +261,10 @@ def thermal_raw(
 def blackbody_density(tp: ThermalPoint, field: FieldKind) -> float:
     """Blackbody free-energy density f_bb = -pi^2 (kT)^4 / 90 [1/m^4].
 
-    Doubled for the electromagnetic field (two polarizations).
+    Doubled for the electromagnetic field (two polarizations): the
+    `subtraction_coeffs` prefactor, with the sign of the mode sum.
     """
-    f = -(PI**2) * tp.kt**4 / 90.0
-    return 2.0 * f if field is FieldKind.ELECTROMAGNETIC else f
+    return -_volume_term(field) * tp.kt**4 / 90.0
 
 
 def blackbody_internal_density(tp: ThermalPoint, field: FieldKind) -> float:
@@ -277,22 +276,39 @@ def blackbody_internal_density(tp: ThermalPoint, field: FieldKind) -> float:
     return -3.0 * blackbody_density(tp, field)
 
 
+def _volume_term(field: FieldKind) -> float:
+    """8 pi^2 times the heat trace's coefficient of A_a A_b A_c (90 times
+    the volume term's prefactor, divided by 90 last as the formulas are)."""
+    return 8.0 * PI**2 * _spectrum(field).trace[(0, 1, 2)]
+
+
+def _high_t(sides, field: FieldKind):
+    """(`subtraction_coeffs`, and the a-derivatives of the sums behind
+    alpha1 and alpha2 at indices 2 and 1): each sum is
+    -sum_S coef_S prod_{i in S} a_i over the heat trace's products of
+    |S| = 1 or 2 axis traces."""
+    a, b, c = sides
+    prods = {(0,): a, (1,): b, (2,): c, (0, 1): a * b, (0, 2): a * c, (1, 2): b * c}
+    slope_of = {(0,): 1.0, (0, 1): b, (0, 2): c}  # d/da of the products that hold a
+    sums, slopes = [0.0] * 3, [0.0] * 3
+    for axes, coef in _spectrum(field).trace.items():
+        if len(axes) < 3:
+            sums[len(axes)] -= coef * prods[axes]
+            if axes in slope_of:
+                slopes[len(axes)] -= coef * slope_of[axes]
+    return SubtractionCoefficients(alpha1=2.0 * ZETA3 * sums[2] / PI, alpha2=PI * sums[1] / 3.0,
+                                   bb_prefactor=_volume_term(field) / 90.0), slopes
+
+
 def subtraction_coeffs(geom: BoxGeometry, field: FieldKind) -> SubtractionCoefficients:
-    """Geometric subtraction coefficients for the requested field kind."""
-    a, b, c = geom.sides
-    if field is FieldKind.SCALAR_DIRICHLET:
-        return SubtractionCoefficients(
-            alpha1=ZETA3 * (a * c + b * c + a * b) / (4.0 * PI),
-            alpha2=-PI * (a + b + c) / 24.0,
-            bb_prefactor=PI**2 / 90.0,
-        )
-    if field is FieldKind.ELECTROMAGNETIC:
-        return SubtractionCoefficients(
-            alpha1=0.0,
-            alpha2=PI * (a + b + c) / 12.0,
-            bb_prefactor=PI**2 / 45.0,
-        )
-    raise ValueError(f"unknown field kind {field!r}")
+    """Geometric subtraction coefficients for the requested field kind.
+
+    A heat-trace product coef_S prod_{i in S} A_i over d = |S| sides adds
+    -coef_S prod_S a_i (kT)^(d+1) 2 Gamma(d) zeta(d+1)/(Gamma(d/2) pi^(d/2))
+    to the mode sum's high-T part, which the subtraction of that power
+    cancels; the last factor is 8 pi^2/90, 2 zeta(3)/pi, pi/3 for d = 3, 2, 1.
+    """
+    return _high_t(geom.sides, field)[0]
 
 
 def corner_coefficient(theta: float) -> float:
@@ -315,25 +331,16 @@ def heat_kernel_coeffs(geom: BoxGeometry) -> tuple[float, float]:
     return (a_half, a_one)
 
 
-def _subtraction_terms(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint):
-    """(bb_term, alpha1_term, alpha2_term) of the free energy, signs included."""
-    coeffs = subtraction_coeffs(geom, field)
+def _subtractions(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint):
+    """((bb_term, alpha1_term, alpha2_term) of the free energy, signs
+    included, and -d/da of each): the a-derivative of a product's term in
+    `subtraction_coeffs` is the term over a where S holds a, else 0."""
+    coeffs, slopes = _high_t(geom.sides, field)
     kt = tp.kt
-    return (
-        coeffs.bb_prefactor * kt**4 * geom.volume,
-        -coeffs.alpha1 * kt**3,
-        -coeffs.alpha2 * kt**2,
-    )
-
-
-def _force_subtraction_terms(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint):
-    """-d/da of (bb_term, alpha1_term, alpha2_term)."""
-    _, b, c = geom.sides
-    kt = tp.kt
-    if field is FieldKind.SCALAR_DIRICHLET:
-        return (-(PI**2) * kt**4 * b * c / 90.0, ZETA3 * kt**3 * (b + c) / (4.0 * PI),
-                -PI * kt**2 / 24.0)
-    return (-(PI**2) * kt**4 * b * c / 45.0, 0.0, PI * kt**2 / 12.0)
+    return ((coeffs.bb_prefactor * kt**4 * geom.volume, -coeffs.alpha1 * kt**3,
+             -coeffs.alpha2 * kt**2),
+            (-_volume_term(field) * kt**4 * geom.b * geom.c / 90.0,
+             2.0 * ZETA3 * kt**3 * slopes[2] / PI, PI * kt**2 * slopes[1] / 3.0))
 
 
 @functools.lru_cache(maxsize=1)
@@ -407,6 +414,7 @@ def _row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: float,
     once for every sum, so F, the force, U and S in turn cost one row."""
     check_tol(tol)
     check_budget(max_points)
+    _spectrum(field)  # an unknown field raises here, not in _T_CROSS
     if max(tp.reduced_t(s) for s in geom.sides) <= _T_CROSS[field]:
         return _matsubara_row(geom, field, tp, tol, max_points)
     return _direct_row(geom, field, tp, tol, max_points)
@@ -428,8 +436,7 @@ def _matsubara_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: f
     e0_ren, f0 = _zero_t(geom, field, tol, max_points)
     free, internal, entropy_kt, force = (math.fsum(pieces) for pieces, _ in checks)
     floors = tuple(_ROUNDOFF * (math.fsum(map(abs, pieces)) + size) for pieces, size in checks)
-    bb, a1, a2 = _subtraction_terms(geom, field, tp)
-    force_terms = _force_subtraction_terms(geom, field, tp)
+    (bb, a1, a2), force_terms = _subtractions(geom, field, tp)
     return _Row(
         EnergyBreakdown(e0_ren, math.fsum([free, -e0_ren, -bb, -a1, -a2]), bb, a1, a2, free),
         (f0, math.fsum([force, -f0] + [-x for x in force_terms]), *force_terms),
@@ -451,9 +458,8 @@ def _direct_row(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint, tol: floa
     ratio.
     """
     kt = tp.kt
-    bb, a1, a2 = _subtraction_terms(geom, field, tp)
+    (bb, a1, a2), force_terms = _subtractions(geom, field, tp)
     force_scale = PI**2 * tp.beta / geom.a**3
-    force_terms = _force_subtraction_terms(geom, field, tp)
     betas = tp.reduced(geom)
     tighten = 1.0
     while True:
@@ -522,7 +528,8 @@ def _force_parts(
     """(zero-T force, thermal mode term, bb term, alpha1 term, alpha2 term).
 
     In the direct form the thermal parts are the exact a-derivatives of the
-    free-energy pieces, taken term by term:
+    free-energy pieces, taken term by term; derived from the field's table
+    (`_lattices`, `_subtractions`), they are
 
       scalar: + (pi^2/a^3) sum n^2/(w (e^{b w}-1)) - pi^2 (kT)^4 bc/90
               + zeta(3)(kT)^3 (b+c)/(4 pi) - pi (kT)^2 / 24
@@ -597,7 +604,8 @@ def asymptotic_thermal(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint) ->
             - pi^2 (kT)^4 abc / 90
     em:     +pi (kT)^2 (a+b+c)/12 - pi^2 (kT)^4 abc / 45
 
-    with c1 = 1/8 (scalar) and -1/2 (em) and c0 the box's classical
+    as `subtraction_coeffs` derives them from the field's table, with
+    c1 = 1/8 (scalar) and -1/2 (em) and c0 the box's classical
     constant (`_matsubara`).  thermal_raw minus it is the Matsubara images'
     kT rho(t), exponentially small in 1/t: of order
     kT (t^2 / (t_a t_b t_c)) exp(-2 pi/t) at the largest t_i = t.  c0 and
@@ -605,10 +613,8 @@ def asymptotic_thermal(geom: BoxGeometry, field: FieldKind, tp: ThermalPoint) ->
     """
     if tp.temperature <= 0.0:
         raise ValueError("asymptotic_thermal requires T > 0")
-    from . import _matsubara
-
     kt = tp.kt
     c0 = _classical(geom, field, DEFAULT_TOL, DEFAULT_BUDGET)[0]
     e0_ren = _zero_t(geom, field, DEFAULT_TOL, DEFAULT_BUDGET)[0]
-    return math.fsum([kt * _matsubara.C1[field] * math.log(kt * geom.a), kt * c0, -e0_ren]
-                     + [-x for x in _subtraction_terms(geom, field, tp)])
+    return math.fsum([kt * _spectrum(field).c1 * math.log(kt * geom.a), kt * c0, -e0_ren]
+                     + [-x for x in _subtractions(geom, field, tp)[0]])

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -30,3 +32,25 @@ def test_benchmark_layers_resolve():
     missing = [f"casimirbox.{module}.{fn}" for module, fns in tracer.LAYERS.items() for fn in fns
                if not callable(getattr(importlib.import_module(f"casimirbox.{module}"), fn, None))]
     assert tracer.LAYERS and missing == []
+
+
+def test_field_kinds_are_named_only_in_the_table():
+    # every per-field formula derives from boxzero's mode-lattice table;
+    # only the table and thermal._T_CROSS, a measured constant, may name a
+    # field kind or branch on one
+    allowed, kinds = {"_LATTICES", "_T_CROSS"}, casimirbox.FieldKind.__members__
+    branches = []
+    for name in ("boxzero", "thermal", "_matsubara"):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"casimirbox.{name}")))
+        tables = {id(node) for top in tree.body if isinstance(top, ast.Assign)
+                  and {getattr(t, "id", None) for t in top.targets} & allowed
+                  for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            named = (isinstance(node, ast.Attribute) and node.attr in kinds
+                     and getattr(node.value, "id", None) == "FieldKind")
+            compared = isinstance(node, ast.Compare) and "field" in {
+                getattr(side, "id", None) for side in [node.left, *node.comparators]}
+            if (named or compared) and id(node) not in tables:
+                branches.append(f"{name}:{node.lineno}")
+    assert branches == []
+

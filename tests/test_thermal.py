@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -590,13 +591,26 @@ class TestMatsubaraForm:
             for m, d in zip(matsubara, direct):
                 assert abs(m - d) <= 1e-10 * abs(d)
 
-    @pytest.mark.parametrize("field, c1, c0", [(SCALAR, 0.125, 0.19353203225868),
-                                               (EM, -0.5, -0.52830442627597)])
-    def test_unit_cube_classical_constants(self, field, c1, c0):
+    @pytest.mark.parametrize("field, c1, c0, trace, lattices", [
+        (SCALAR, 0.125, 0.19353203225868, (0.125, -0.125, 0.125),
+         lambda ba, bb, bc, k: [(1, (ba, bb, bc), k)]),
+        (EM, -0.5, -0.52830442627597, (0.25, 0.0, -0.25),
+         lambda ba, bb, bc, k: [(2, (ba, bb, bc), k), (1, (bb, bc), k[:2]), (1, (ba, bb), k),
+                                (1, (ba, bc), k)])])
+    def test_unit_cube_classical_constants(self, field, c1, c0, trace, lattices):
         # c1 is minus the heat trace's constant term; c0 as measured from
-        # the rows at 3 - 10 kK to 1e-13
-        assert _matsubara.C1[field] == c1
+        # the rows at 3 - 10 kK to 1e-13.  The heat trace expanded from the
+        # mode lattices: each product of 3, 2 and 1 axis traces has the
+        # coefficient in `trace`, and the direct form's lattices are the
+        # ones written out by hand before the table, in their order
+        spectrum = boxzero._spectrum(field)
+        assert spectrum.c1 == c1
+        for d in (3, 2, 1):
+            for axes in itertools.combinations(range(3), d):
+                assert spectrum.trace.get(axes, 0.0) == trace[3 - d]
         cube = BoxGeometry(1.0, 1.0, 1.0)
+        betas = ThermalPoint(300.0).reduced(cube)
+        assert thermal._lattices(field, betas) == lattices(*betas, _modesum._KERNELS)
         assert thermal._classical(cube, field, 1e-10, DEFAULT_BUDGET)[0] == pytest.approx(
             c0, rel=0, abs=1e-13)
 
@@ -609,7 +623,7 @@ class TestMatsubaraForm:
         cube = BoxGeometry(side, side, side)
         for t in (0.1, 0.05, 0.01, 3.8e-3):
             tp = ThermalPoint(HBAR_C / (2.0 * side * K_BOLTZMANN * t))
-            law = -_matsubara.C1[field] / 3.0
+            law = -boxzero._spectrum(field).c1 / 3.0
             assert side * force_x(cube, field, tp) / tp.kt == pytest.approx(law, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("field", [SCALAR, EM])
@@ -1333,3 +1347,33 @@ class TestThermoRow:
         ref = row(1e-10)
         for tol in (1e-6, 1e-3):
             assert row(tol) == pytest.approx(ref, rel=tol, abs=0)
+
+
+#: every public entry point that takes a field, at T > 0 and at T = 0
+FIELD_CALLS = {
+    "e0": lambda f: e0(CUBE_2UM, f),
+    "e0_force_x": lambda f: e0_force_x(CUBE_2UM, f),
+    "e0_and_force_x": lambda f: boxzero.e0_and_force_x(CUBE_2UM, f),
+    "subtraction_coeffs": lambda f: subtraction_coeffs(CUBE_2UM, f),
+    "blackbody_density": lambda f: blackbody_density(TP300, f),
+    "blackbody_internal_density": lambda f: blackbody_internal_density(TP300, f),
+    "free_energy": lambda f: free_energy(CUBE_2UM, f, TP300),
+    "free_energy_0K": lambda f: free_energy(CUBE_2UM, f, ThermalPoint(0.0)),
+    "force_x": lambda f: force_x(CUBE_2UM, f, TP300),
+    "force_x_0K": lambda f: force_x(CUBE_2UM, f, ThermalPoint(0.0)),
+    "thermal_raw": lambda f: thermal_raw(CUBE_2UM, f, TP300),
+    "thermal_raw_0K": lambda f: thermal_raw(CUBE_2UM, f, ThermalPoint(0.0)),
+    "internal_energy": lambda f: internal_energy(CUBE_2UM, f, TP300),
+    "entropy": lambda f: entropy(CUBE_2UM, f, TP300),
+    "asymptotic_thermal": lambda f: asymptotic_thermal(CUBE_2UM, f, TP300),
+}
+
+
+@pytest.mark.parametrize("field", ["em", None])
+@pytest.mark.parametrize("call", FIELD_CALLS)
+def test_unknown_field_raises(call, field):
+    # the field's table is looked up before anything else: an unknown field
+    # was read as the scalar by blackbody_density, and made the thermal rows
+    # raise KeyError
+    with pytest.raises(ValueError, match="unknown field kind"):
+        FIELD_CALLS[call](field)
