@@ -69,8 +69,8 @@ from functools import partial
 import numpy as np
 
 from ._modesum import _image_sums, _log_kernel
-from .boxzero import FieldKind, _g_pass, _k32, _spectrum
-from .specfun import PI, ZETA3, bessel_k
+from .boxzero import FieldKind, _g_pass, _k32, _spectrum, _z2_half_terms
+from .specfun import PI, bessel_k
 
 __all__ = ["zeta_prime", "classical", "images", "row_pieces"]
 
@@ -116,16 +116,11 @@ def _z3_terms(sides, tol: float, max_points: int) -> list:
     s1, s2, big = sorted(range(3), key=lambda i: sides[i])
     length, p, q = sides[big], sides[s2], sides[s1]
     # -2 L Z_2(-1/2) of the two shorter sides, in p = s2 >= q = s1
-    z = p / q
-    g, dg = _g_pass(z, _EPS, max_points)
     w = -2.0 * length
     terms = [(-2.0 * math.log(2.0 * length), {big: -2.0}),
              (w * -PI / (6.0 * p), {big: w * -PI / (6.0 * p), s2: w * PI / (6.0 * p)})]
-    cubic = w * -ZETA3 * p / (2.0 * PI * q * q)
-    terms.append((cubic, {big: cubic, s2: cubic, s1: -2.0 * cubic}))
-    terms.append((w * 8.0 * PI / q * g, {big: w * 8.0 * PI / q * g,
-                                          s2: w * 8.0 * PI / q * z * dg,
-                                          s1: -w * 8.0 * PI / q * (g + z * dg)}))
+    for value, d_q, d_p in _z2_half_terms(q, p, *_g_pass(p / q, _EPS, max_points)):
+        terms.append((w * value, {big: w * value, s2: w * p * d_p, s1: w * q * d_q}))
     # -2 times the log sum at x = L/s1, y = L/s2, both >= 1
     lam, (dx, dy) = _log_sum((length / q, length / p), tol, max_points)
     terms.append((-2.0 * lam, {big: -2.0 * (dx + dy), s1: 2.0 * dx, s2: 2.0 * dy}))

@@ -55,7 +55,7 @@ import numpy as np
 
 from ._modesum import _image_sums
 from .errors import (DEFAULT_BUDGET, DEFAULT_TOL, MAX_LENGTH, MIN_LENGTH, budget_error,
-                     check_budget, check_tol)
+                     check_budget, check_reals, check_tol)
 from .specfun import PI, ZETA3, bessel_k
 
 __all__ = [
@@ -84,8 +84,10 @@ class BoxGeometry:
     c: float
 
     def __post_init__(self):
+        if not type(self.a) is type(self.b) is type(self.c) is float:
+            check_reals(self, "a", "b", "c")
         for name, v in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if not (isinstance(v, (int, float)) and MIN_LENGTH <= v <= MAX_LENGTH):
+            if not (MIN_LENGTH <= v <= MAX_LENGTH):
                 raise ValueError(f"side {name} must be a number in [{MIN_LENGTH:g}, "
                                  f"{MAX_LENGTH:g}] m, got {v!r}")
         # longest over shortest side, so the check does not depend on side order
@@ -276,6 +278,15 @@ def lattice_r(z1: float, z2: float, tol: float = DEFAULT_TOL,
     return _r_pass(z1, z2, tol, max_terms)[0]
 
 
+def _z2_half_terms(q: float, p: float, g: float, dg: float) -> tuple:
+    """The lattice terms of Z_2(-1/2) of the sides q <= p (`_matsubara`),
+    -zeta(3) p/(2 pi q^2) and (8 pi/q) G(p/q), each as (value, d/dq, d/dp);
+    (g, dg) is `_g_pass` at p/q."""
+    z = p / q
+    return ((-ZETA3 * p / (2.0 * PI * q**2), ZETA3 * p / (PI * q**3), -ZETA3 / (2.0 * PI * q**2)),
+            (8.0 * PI / q * g, -(8.0 * PI / q**2) * (g + z * dg), 8.0 * PI / q**2 * dg))
+
+
 def _e0_gradient(sides, field: FieldKind, tol: float, max_terms: int = DEFAULT_BUDGET):
     """E0 and its gradient (dE0/da, dE0/db, dE0/dc), the sides in the slots given.
 
@@ -300,15 +311,13 @@ def _e0_gradient(sides, field: FieldKind, tol: float, max_terms: int = DEFAULT_B
         elif len(slots) == 2:
             i, k = slots
             q, p = sides[i], sides[k]
-            z = p / q
-            if z not in g_passes:
-                g_passes[z] = _g_pass(z, tol, max_terms)
-            g, dg = g_passes[z]
-            values += [half * (-ZETA3 * p / (2.0 * PI * q**2)), half * (8.0 * PI / q * g)]
-            grad[k] += [half * (-ZETA3 / (2.0 * PI * q**2)), half * (8.0 * PI / q**2 * dg)]
-            if i:
-                grad[i] += [half * (ZETA3 * p / (PI * q**3)),
-                            half * (-(8.0 * PI / q**2) * (g + z * dg))]
+            if p / q not in g_passes:
+                g_passes[p / q] = _g_pass(p / q, tol, max_terms)
+            for value, d_q, d_p in _z2_half_terms(q, p, *g_passes[p / q]):
+                values.append(half * value)
+                grad[k].append(half * d_p)
+                if i:
+                    grad[i].append(half * d_q)
         else:
             (i,) = slots
             values.append(half * (-PI / (6.0 * sides[i])))

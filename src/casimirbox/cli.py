@@ -18,7 +18,6 @@ Plates rows use: a_um,T_K,t_reduced,f_dimless,f_SI[,p_dimless,p_SI],error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -42,14 +41,8 @@ UM = 1e-6
 
 
 def _fmt(x: float) -> str:
-    """Fixed scientific formatting, 12 significant digits."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """Fixed scientific formatting, 12 significant digits ("inf" and "-inf" as such)."""
     return f"{x:.11e}"
-
-
-def _field(arg: str) -> FieldKind:
-    return FieldKind.SCALAR_DIRICHLET if arg == "scalar" else FieldKind.ELECTROMAGNETIC
 
 
 def _box_point(args, a_um: float, temperature: float):
@@ -64,7 +57,7 @@ def _box_point(args, a_um: float, temperature: float):
 def _box_cells(args, geom: BoxGeometry, tp: ThermalPoint, quantity: str) -> list[str]:
     """Computed cells of one box row, between the prefix and the error column."""
     a = geom.a
-    field = _field(args.field)
+    field = FieldKind(args.field)
     if quantity == "force":
         parts = thermal._force_parts(geom, field, tp, args.tol, args.max_shell)
         scale = a * a
@@ -72,15 +65,8 @@ def _box_cells(args, geom: BoxGeometry, tp: ThermalPoint, quantity: str) -> list
         cells = [_fmt(p * scale) for p in parts] + [_fmt(total * scale), _fmt(total * HBAR_C)]
     else:
         fe = thermal.free_energy(geom, field, tp, args.tol, args.max_shell)
-        cells = [
-            _fmt(fe.e0_ren * a),
-            _fmt(fe.thermal_raw * a),
-            _fmt(fe.bb_term * a),
-            _fmt(fe.alpha1_term * a),
-            _fmt(fe.alpha2_term * a),
-            _fmt(fe.total * a),
-            _fmt(fe.total * HBAR_C),
-        ]
+        pieces = (fe.e0_ren, fe.thermal_raw, fe.bb_term, fe.alpha1_term, fe.alpha2_term, fe.total)
+        cells = [_fmt(p * a) for p in pieces] + [_fmt(fe.total * HBAR_C)]
     if quantity == "thermo":
         u = thermal.internal_energy(geom, field, tp, args.tol, args.max_shell)
         s = thermal.entropy(geom, field, tp, args.tol, args.max_shell)
@@ -122,11 +108,11 @@ def _cmd_plates(args, out) -> int:
 
 def _cmd_sweep(args, out) -> int:
     if args.points < 2:
-        raise UsageError("--points must be >= 2")
+        raise ValueError("--points must be >= 2")
     if not (args.start < args.stop):
-        raise UsageError("--from must be smaller than --to")
+        raise ValueError("--from must be smaller than --to")
     if args.log and args.start <= 0.0:
-        raise UsageError("--log requires --from > 0")
+        raise ValueError("--log requires --from > 0")
     if args.log:
         grid = np.geomspace(args.start, args.stop, args.points)
     else:
@@ -148,22 +134,17 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_validate(args, out) -> int:
-    # imported here: validate's oracles pull in mpmath, which no other
-    # command needs
+    # imported here, not at the top: only this command needs validate, so
+    # the others start without loading it (its oracles import mpmath only
+    # when they run, and no check runs one)
     from . import validate
 
     results = validate.run_checks(args.filter)
-    failed = 0
     for res in results:
-        print(str(res), file=out)
-        if not res.passed:
-            failed += 1
+        print(res, file=out)
+    failed = sum(not res.passed for res in results)
     print(f"{len(results) - failed}/{len(results)} checks passed", file=out)
     return 0 if failed == 0 else 1
-
-
-class UsageError(Exception):
-    pass
 
 
 def _add_box_args(p: argparse.ArgumentParser, with_temp: bool = True):
@@ -269,9 +250,6 @@ def run(argv=None, out=None, err=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args, out)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=err)
-        return 2
     except ValueError as exc:
         print(f"usage error: {exc}", file=err)
         return 2

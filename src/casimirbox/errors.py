@@ -1,10 +1,11 @@
 """Exception types shared across the package, the default tolerance and
-term budget, the checks of a tolerance and a term budget, and the range of
-accepted lengths."""
+term budget, the checks of a tolerance, a term budget and the numbers of a
+configuration, and the range of accepted lengths."""
 
 from __future__ import annotations
 
 import math
+import sys
 
 
 class CasimirBoxError(Exception):
@@ -76,3 +77,20 @@ def check_budget(budget: int) -> None:
     """
     if type(budget) is not int or budget < 1:
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
+
+
+def check_reals(config, *names: str) -> None:
+    """Store each named field of a frozen dataclass as float(value).
+
+    An int, a float or a NumPy integer or floating scalar is accepted; any
+    other value raises ValueError, a bool included: True is not 1 m or 1 K.
+    Range checks then compare floats only.
+    """
+    numpy = sys.modules.get("numpy")  # a NumPy scalar exists only once NumPy is loaded
+    reals = (int, float) if numpy is None else (int, float, numpy.integer, numpy.floating)
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is bool or not isinstance(value, reals):
+            raise ValueError(f"{name} must be an int, a float or a NumPy real scalar, "
+                             f"got {value!r}")
+        object.__setattr__(config, name, float(value))

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DEFAULT_TOL, MAX_LENGTH, MIN_LENGTH, check_tol
+from .errors import DEFAULT_TOL, MAX_LENGTH, MIN_LENGTH, check_reals, check_tol
 from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
 
 __all__ = ["PlatesConfig", "plates_free_energy", "plates_pressure"]
@@ -66,6 +66,8 @@ class PlatesConfig:
     temperature: float
 
     def __post_init__(self):
+        if type(self.separation) is not float or type(self.temperature) is not float:
+            check_reals(self, "separation", "temperature")
         if not (MIN_LENGTH <= self.separation <= MAX_LENGTH):
             raise ValueError(f"separation must be in [{MIN_LENGTH:g}, {MAX_LENGTH:g}] m, "
                              f"got {self.separation!r}")

@@ -94,7 +94,7 @@ from typing import NamedTuple
 
 from . import _modesum
 from .boxzero import BoxGeometry, FieldKind, _spectrum, e0, e0_and_force_x, e0_force_x
-from .errors import DEFAULT_BUDGET, DEFAULT_TOL, check_budget, check_tol
+from .errors import DEFAULT_BUDGET, DEFAULT_TOL, check_budget, check_reals, check_tol
 from .specfun import HBAR_C, K_BOLTZMANN, PI, ZETA3
 
 __all__ = [
@@ -132,8 +132,10 @@ class ThermalPoint:
     temperature: float
 
     def __post_init__(self):
+        if type(self.temperature) is not float:
+            check_reals(self, "temperature")
         t = self.temperature
-        if not (isinstance(t, (int, float)) and (t == 0.0 or T_MIN <= t <= T_MAX)):
+        if not (t == 0.0 or T_MIN <= t <= T_MAX):
             raise ValueError(f"temperature must be 0 or in [{T_MIN:g}, {T_MAX:g}] K, got {t!r}")
 
     @property

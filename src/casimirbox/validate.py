@@ -11,9 +11,17 @@ exponential-cutoff mode sum (oracle_e0_cutoff).  The parallel plates have
 a 40-digit Matsubara double sum with a numerical a-derivative
 (oracle_plates).
 
-Pinned oracle outputs live in data/fixtures.txt, one per line:
+Pinned oracle outputs live in data/fixtures.txt, the one list of fixtures,
+one per line:
 
-    name key=value ... value=<17 significant digits> tol=<relative>
+    name kind=<kind> key=value ... cutoff=<n> value=<17 significant digits> tol=<relative>
+
+`_KINDS` gives each kind its oracle and its production value.
+`regenerate_fixtures` recomputes every value with its kind's oracle and
+writes the file back byte for byte.  The U pins have no oracle here: they
+are the long-double mode sums of perfbench/references.json, which share no
+production code, and regeneration copies them.  Each tol is the production
+value's contract.
 
 The checks compare the production implementation against those pins and a
 handful of closed-form golden values, so `run_checks` needs no mpmath: only
@@ -25,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -161,15 +170,9 @@ def oracle_lattice(kind: str, params: dict, cutoff: int) -> float:
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     kind = kind.upper().split("-")[0]
-    if kind == "G":
-        return _oracle_g(params["z"], cutoff)
-    if kind == "R":
-        return _oracle_r(params["z1"], params["z2"], cutoff)
-    if kind == "X":
-        return _oracle_x((params["beta_a"], params["beta_b"], params["beta_c"]), cutoff)
-    if kind == "Y":
-        return _oracle_y((params["beta_a"], params["beta_b"], params["beta_c"]), cutoff)
-    raise ValueError(f"unknown lattice kind {kind!r}")
+    if kind not in ("G", "R", "X", "Y"):
+        raise ValueError(f"unknown lattice kind {kind!r}")
+    return _KINDS[kind][0](params, cutoff)
 
 
 def oracle_e0(field: FieldKind, a: float, b: float, c: float, cutoff: int = 120) -> float:
@@ -315,17 +318,6 @@ class ThermoReport:
         return max(self.u_deviation, self.s_deviation)
 
 
-def _oracle_internal_energy(geom: BoxGeometry, field: FieldKind, temperature: float,
-                            h_rel: float) -> float:
-    """U = -T^2 d(F/T)/dT by Richardson finite differences of F/T in T."""
-
-    def f_over_t(t: float) -> float:
-        return thermal.free_energy(geom, field, ThermalPoint(t)).total / t
-
-    slope = richardson_derivative(f_over_t, temperature, h_rel * temperature)[0]
-    return -(temperature**2) * slope
-
-
 def oracle_thermo_consistency(
     geom: BoxGeometry, field: FieldKind, temperature: float, h_rel: float = 1e-4
 ) -> ThermoReport:
@@ -343,8 +335,9 @@ def oracle_thermo_consistency(
     u = thermal.internal_energy(geom, field, tp)
     s = thermal.entropy(geom, field, tp)
 
-    u_fd = _oracle_internal_energy(geom, field, temperature, h_rel)
-    df_dt = richardson_derivative(f_of_t, temperature, h_rel * temperature)[0]
+    h = h_rel * temperature
+    u_fd = -(temperature**2) * richardson_derivative(lambda t: f_of_t(t) / t, temperature, h)[0]
+    df_dt = richardson_derivative(f_of_t, temperature, h)[0]
     # -dF/dT is an entropy in 1/(m K); convert to k_B units via T/(kT)
     s_fd = -df_dt * temperature / tp.kt
     u_dev = abs(u - u_fd) / max(abs(u), abs(u_fd))
@@ -355,98 +348,43 @@ def oracle_thermo_consistency(
 # ----------------------------------------------------------------------
 # fixtures
 
-def _beta_cube_2um_300k() -> float:
-    """Reduced frequency pi beta/a for the a = 2 um cube at 300 K."""
-    return PI / (2e-6 * K_BOLTZMANN * 300.0 / HBAR_C)
+def _betas(p: dict) -> tuple:
+    return (p["beta_a"], p["beta_b"], p["beta_c"])
 
 
-_FIXTURE_SPECS = [
-    # (name, kind, params, cutoff, tol)
-    ("bessel_k1_at_1", "bessel", {"order": 1.0, "x": 1.0}, 0, 1e-11),
-    ("lattice_g_at_1", "G", {"z": 1.0}, 200, 1e-9),
-    ("lattice_g_at_0.5", "G", {"z": 0.5}, 200, 1e-9),
-    ("lattice_r_at_1_1", "R", {"z1": 1.0, "z2": 1.0}, 100, 1e-9),
-    ("lattice_r_at_0.5_2", "R", {"z1": 0.5, "z2": 2.0}, 100, 1e-9),
-    ("x_unit_cube_t1", "X", {"beta_a": 2 * PI, "beta_b": 2 * PI, "beta_c": 2 * PI}, 50, 1e-9),
-    ("y_unit_cube_t1", "Y", {"beta_a": 2 * PI, "beta_b": 2 * PI, "beta_c": 2 * PI}, 50, 1e-9),
-    ("e0_scalar_cube_unit", "E0S", {"a": 1.0, "b": 1.0, "c": 1.0}, 120, 1e-8),
-    ("e0_em_cube_unit", "E0EM", {"a": 1.0, "b": 1.0, "c": 1.0}, 120, 1e-8),
-    ("e0_scalar_slab_1_5_5", "E0S", {"a": 1.0, "b": 5.0, "c": 5.0}, 120, 1e-8),
-    (
-        "x_cube_2um_300K",
-        "X",
-        {
-            "beta_a": _beta_cube_2um_300k(),
-            "beta_b": _beta_cube_2um_300k(),
-            "beta_c": _beta_cube_2um_300k(),
-        },
-        200,
-        1e-9,
-    ),
-    (
-        "u_scalar_cube_2um_300K",
-        "U",
-        {"field": 0.0, "a": 2e-6, "temperature": 300.0, "h_rel": 1e-4},
-        0,
-        1e-8,
-    ),
-    (
-        "u_em_cube_2um_300K",
-        "U",
-        {"field": 1.0, "a": 2e-6, "temperature": 300.0, "h_rel": 1e-4},
-        0,
-        1e-8,
-    ),
-]
+def _lattice_kinds(field: FieldKind, lattice):
+    """(oracle, production value) of a mode log-sum, `lattice` the oracle's
+    direct sum; the production sum is summed to 1e-12."""
+    return (lambda p, cutoff: lattice(_betas(p), cutoff),
+            lambda p: thermal._mode_sums(field, _betas(p), 1e-12, DEFAULT_BUDGET)[0]["log"])
 
 
-#: Boxes of the E0 oracle-equivalence grid, pinned in both fields at cutoff 80.
-E0_GRID = ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (0.5, 1.0, 1.5), (2.0, 1.0, 1.0), (1.0, 3.0, 0.7))
-
-_FIXTURE_SPECS += [
-    (f"e0_grid_{kind}_{a:g}_{b:g}_{c:g}", kind, {"a": a, "b": b, "c": c}, 80, 1e-8)
-    for a, b, c in E0_GRID
-    for kind in ("E0S", "E0EM")
-]
-
-#: The oracle's K_nu of each order at 20 points of its x range
-_FIXTURE_SPECS += [
-    (f"bessel_grid_k{order:g}_{i}", "bessel", {"order": order, "x": float(x)}, 0, 1e-11)
-    for order in (0.0, 0.5, 1.0, 1.5)
-    for i, x in enumerate(np.linspace(*_ORACLE_X_RANGE, 20))
-]
+def _e0_kinds(field: FieldKind):
+    """(oracle, production value) of a box's E0."""
+    return (lambda p, cutoff: oracle_e0(field, p["a"], p["b"], p["c"], cutoff),
+            lambda p: boxzero.e0(BoxGeometry(p["a"], p["b"], p["c"]), field))
 
 
-def _field_from_flag(flag: float) -> FieldKind:
-    return FieldKind.ELECTROMAGNETIC if flag else FieldKind.SCALAR_DIRICHLET
+def _cube_u(p: dict) -> float:
+    field = FieldKind.ELECTROMAGNETIC if p["field"] else FieldKind.SCALAR_DIRICHLET
+    return thermal.internal_energy(BoxGeometry(p["a"], p["a"], p["a"]), field,
+                                   ThermalPoint(p["temperature"]))
 
 
-def _eval_fixture(kind: str, params: dict, cutoff: int) -> float:
-    if kind == "bessel":
-        return oracle_bessel_k(params["order"], params["x"])
-    if kind == "E0S":
-        return oracle_e0(FieldKind.SCALAR_DIRICHLET, params["a"], params["b"], params["c"], cutoff)
-    if kind == "E0EM":
-        return oracle_e0(FieldKind.ELECTROMAGNETIC, params["a"], params["b"], params["c"], cutoff)
-    if kind == "U":
-        a = params["a"]
-        return _oracle_internal_energy(BoxGeometry(a, a, a), _field_from_flag(params["field"]),
-                                       params["temperature"], params["h_rel"])
-    return oracle_lattice(kind, params, cutoff)
-
-
-def regenerate_fixtures(path) -> None:
-    """Recompute every pinned value with its recorded oracle parameters."""
-    lines = []
-    for name, kind, params, cutoff, tol in _FIXTURE_SPECS:
-        value = _eval_fixture(kind, params, cutoff)
-        parts = [name, f"kind={kind}"] + [f"{k}={v:.17g}" for k, v in params.items()]
-        parts.append(f"cutoff={cutoff}")
-        parts.append(f"value={value:.17g}")
-        parts.append(f"tol={tol:g}")
-        lines.append(" ".join(parts))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+#: The one table of fixture kinds: kind -> (oracle of (params, cutoff),
+#: production value of params).  U has no oracle (see the module docstring).
+_KINDS = {
+    "bessel": (lambda p, cutoff: oracle_bessel_k(p["order"], p["x"]),
+               lambda p: bessel_k(p["order"], p["x"])),
+    "G": (lambda p, cutoff: _oracle_g(p["z"], cutoff), lambda p: boxzero.lattice_g(p["z"])),
+    "R": (lambda p, cutoff: _oracle_r(p["z1"], p["z2"], cutoff),
+          lambda p: boxzero.lattice_r(p["z1"], p["z2"])),
+    "X": _lattice_kinds(FieldKind.SCALAR_DIRICHLET, _oracle_x),
+    "Y": _lattice_kinds(FieldKind.ELECTROMAGNETIC, _oracle_y),
+    "E0S": _e0_kinds(FieldKind.SCALAR_DIRICHLET),
+    "E0EM": _e0_kinds(FieldKind.ELECTROMAGNETIC),
+    "U": (None, _cube_u),
+}
 
 
 @dataclass(frozen=True)
@@ -460,27 +398,41 @@ class Fixture:
 
 
 def load_fixtures(path=None) -> list[Fixture]:
-    """Parse the line-oriented fixtures file."""
-    if path is None:
-        text = resources.files("casimirbox").joinpath("data/fixtures.txt").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    """Parse the line-oriented fixtures file, the packaged one by default."""
+    packaged = resources.files("casimirbox").joinpath("data/fixtures.txt")
     out = []
-    for line in text.splitlines():
+    for line in (packaged if path is None else Path(path)).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        name = fields[0]
-        kv = dict(f.split("=", 1) for f in fields[1:])
-        kind = kv.pop("kind")
-        cutoff = int(kv.pop("cutoff"))
-        value = float(kv.pop("value"))
-        tol = float(kv.pop("tol"))
+        name, *fields = line.split()
+        kv = dict(f.split("=", 1) for f in fields)
+        kind, cutoff, value, tol = (kv.pop(k) for k in ("kind", "cutoff", "value", "tol"))
         params = {k: float(v) for k, v in kv.items()}
-        out.append(Fixture(name, kind, params, cutoff, value, tol))
+        out.append(Fixture(name, kind, params, int(cutoff), float(value), float(tol)))
     return out
+
+
+def _fixture_line(fix: Fixture, value: float) -> str:
+    """The fixture's line of the file, pinned to value."""
+    params = [f"{k}={v:.17g}" for k, v in fix.params.items()]
+    return " ".join([fix.name, f"kind={fix.kind}", *params, f"cutoff={fix.cutoff}",
+                     f"value={value:.17g}", f"tol={fix.tol:g}"])
+
+
+def _regenerated_line(fix: Fixture) -> str:
+    """The fixture's line with its value recomputed by its kind's oracle, or
+    as pinned for a kind without one."""
+    oracle = _KINDS[fix.kind][0]
+    return _fixture_line(fix, fix.value if oracle is None else oracle(fix.params, fix.cutoff))
+
+
+def regenerate_fixtures(path) -> None:
+    """Write the packaged fixtures file to path, each value recomputed by its
+    kind's oracle: the file comes back byte for byte."""
+    lines = [_regenerated_line(fix) for fix in load_fixtures()]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -509,26 +461,9 @@ def _rel(a: float, b: float) -> float:
 
 def _fixture_actual(fix: Fixture) -> float:
     """Production-path value corresponding to a pinned oracle value."""
-    p = fix.params
-    if fix.kind == "bessel":
-        return bessel_k(p["order"], p["x"])
-    if fix.kind == "G":
-        return boxzero.lattice_g(p["z"])
-    if fix.kind == "R":
-        return boxzero.lattice_r(p["z1"], p["z2"])
-    if fix.kind in ("X", "Y"):
-        field = FieldKind.SCALAR_DIRICHLET if fix.kind == "X" else FieldKind.ELECTROMAGNETIC
-        betas = (p["beta_a"], p["beta_b"], p["beta_c"])
-        return thermal._mode_sums(field, betas, 1e-12, DEFAULT_BUDGET)[0]["log"]
-    if fix.kind in ("E0S", "E0EM"):
-        field = FieldKind.SCALAR_DIRICHLET if fix.kind == "E0S" else FieldKind.ELECTROMAGNETIC
-        return boxzero.e0(BoxGeometry(p["a"], p["b"], p["c"]), field)
-    if fix.kind == "U":
-        geom = BoxGeometry(p["a"], p["a"], p["a"])
-        return thermal.internal_energy(
-            geom, _field_from_flag(p["field"]), ThermalPoint(p["temperature"])
-        )
-    raise ValueError(f"unknown fixture kind {fix.kind!r}")
+    if fix.kind not in _KINDS:
+        raise ValueError(f"unknown fixture kind {fix.kind!r}")
+    return _KINDS[fix.kind][1](fix.params)
 
 
 def run_checks(name_filter: str | None = None, fixtures_path=None) -> list[CheckResult]:
@@ -566,9 +501,11 @@ def run_checks(name_filter: str | None = None, fixtures_path=None) -> list[Check
     )
     add("bessel:recurrence_k32", 1e-13, lambda: (bessel_k(0.5, 1.0) * 2.0, bessel_k(1.5, 1.0)))
 
-    # paper-anchored electromagnetic cube energy (dimensionless a*E0)
+    # paper-anchored electromagnetic cube energy (dimensionless a*E0): Lukosz's
+    # 0.09166 has four digits, so tol is half a unit of the last, 5.5e-5
+    # (measured 2.8e-5 off the 30-digit 0.0916574)
     cube = BoxGeometry(1.0, 1.0, 1.0)
-    add("boxzero:em_cube_energy", 0.0055, lambda: (0.09166, boxzero.e0(cube, FieldKind.ELECTROMAGNETIC)))
+    add("boxzero:em_cube_energy", 5.5e-5, lambda: (0.09166, boxzero.e0(cube, FieldKind.ELECTROMAGNETIC)))
 
     # blackbody internal-energy density, electromagnetic: pi^2 (kT)^4 / 15
     tp = ThermalPoint(300.0)
@@ -599,16 +536,18 @@ def run_checks(name_filter: str | None = None, fixtures_path=None) -> list[Check
         ),
     )
 
-    # thermodynamic consistency at desk scale
+    # thermodynamic consistency at desk scale: U and S hold the rows' default
+    # tol, 1e-10, and the differences of F add roundoff near eps / h_rel
+    # (measured: 1.3e-11 at most)
     box2um = BoxGeometry(2e-6, 2e-6, 2e-6)
     add_bound(
         "thermo:em_cube_300K",
-        1e-4,
+        1e-10,
         lambda: oracle_thermo_consistency(box2um, FieldKind.ELECTROMAGNETIC, 300.0).max_deviation,
     )
     add_bound(
         "thermo:scalar_cube_50K",
-        1e-4,
+        1e-10,
         lambda: oracle_thermo_consistency(box2um, FieldKind.SCALAR_DIRICHLET, 50.0).max_deviation,
     )
 
@@ -628,12 +567,12 @@ def run_checks(name_filter: str | None = None, fixtures_path=None) -> list[Check
             lambda field=field, c1=c1: (-c1 / 3.0, thermal.force_x(cube, field, cube_t005) / kt))
 
     # plates: low-temperature expansion and classical limit
-    t10 = _plates_cfg_for_t(1e-6, 10.0)
+    t10 = plates.PlatesConfig(1e-6, _temperature_for_t(1e-6, 10.0))
     f_expansion = -(PI**2) / (720.0 * t10.separation**3) * (
         1.0 + 45.0 * ZETA3 / PI**3 / 10.0**3 - 1.0 / 10.0**4
     )
     add("plates:low_t_expansion", 1e-6, lambda: (f_expansion, plates.plates_free_energy(t10)))
-    t005 = _plates_cfg_for_t(1e-6, 0.05)
+    t005 = plates.PlatesConfig(1e-6, _temperature_for_t(1e-6, 0.05))
     f_classical = -t005.kt * ZETA3 / (8.0 * PI * t005.separation**2)
     add("plates:classical_limit", 1e-3, lambda: (f_classical, plates.plates_free_energy(t005)))
     add(
@@ -642,8 +581,9 @@ def run_checks(name_filter: str | None = None, fixtures_path=None) -> list[Check
         lambda: (_plates_pressure_reference(t10), plates.plates_pressure(t10)),
     )
 
-    # reduced-variable anchor: a = 2 um, T = 300 K gives t ~ 1.908
-    add("units:reduced_t_anchor", 1e-4, lambda: (1.9082371, ThermalPoint(300.0).reduced_t(2e-6)))
+    # reduced-variable anchor: a = 2 um, T = 300 K gives t ~ 1.908; the anchor
+    # has eight digits, so tol is half a unit of the last, 2.6e-8
+    add("units:reduced_t_anchor", 2.6e-8, lambda: (1.9082371, ThermalPoint(300.0).reduced_t(2e-6)))
     return results
 
 
@@ -659,11 +599,6 @@ CLASSICAL_PINS = {
 def _temperature_for_t(length: float, t: float) -> float:
     """Temperature [K] at which a side or gap of this length has reduced t."""
     return HBAR_C / (2.0 * length * K_BOLTZMANN * t)
-
-
-def _plates_cfg_for_t(separation: float, t: float) -> plates.PlatesConfig:
-    """PlatesConfig at the temperature that realizes reduced t for this gap."""
-    return plates.PlatesConfig(separation, _temperature_for_t(separation, t))
 
 
 def _plates_pressure_reference(cfg: plates.PlatesConfig) -> float:

@@ -34,6 +34,27 @@ def test_benchmark_layers_resolve():
     assert tracer.LAYERS and missing == []
 
 
+def test_benchmark_imports_resolve():
+    # perfbench imports the package's private names too (validate's
+    # oracles, the lattice sums): each `from casimirbox... import name` in
+    # its scripts, read without running them, must still find its name
+    names = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("casimirbox"):
+                names += [(path.name, node.module, alias.name) for alias in node.names]
+
+    def resolves(module, name):
+        # a name of the module, or a submodule of a package
+        mod = importlib.import_module(module)
+        return hasattr(mod, name) or (hasattr(mod, "__path__")
+                                      and importlib.util.find_spec(f"{module}.{name}") is not None)
+
+    missing = [entry for entry in names if not resolves(*entry[1:])]
+    assert {module for _, module, _ in names} >= {"casimirbox.validate", "casimirbox.errors"}
+    assert missing == []
+
+
 def test_field_kinds_are_named_only_in_the_table():
     # every per-field formula derives from boxzero's mode-lattice table;
     # only the table and thermal._T_CROSS, a measured constant, may name a

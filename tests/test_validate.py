@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from casimirbox.specfun import HBAR_C, K_BOLTZMANN, PI, bessel_k
 
 SCALAR = FieldKind.SCALAR_DIRICHLET
 EM = FieldKind.ELECTROMAGNETIC
+PACKAGED = Path(validate.__file__).parent / "data" / "fixtures.txt"
 
 
 class TestBesselOracle:
@@ -73,11 +76,12 @@ class TestE0OracleEquivalence:
         # production energies vs the 30-digit brute-force assembly, pinned in
         # data/fixtures.txt by regenerate_fixtures
         pins = {f.name: f for f in validate.load_fixtures() if f.name.startswith("e0_grid_")}
-        assert len(pins) == 10
+        boxes = {kind: {(p.params["a"], p.params["b"], p.params["c"]) for p in pins.values()
+                        if p.kind == kind} for kind in ("E0S", "E0EM")}
+        assert len(pins) == 10 and len(boxes["E0S"]) == 5 and boxes["E0S"] == boxes["E0EM"]
         for pin in pins.values():
             field = SCALAR if pin.kind == "E0S" else EM
             sides = (pin.params["a"], pin.params["b"], pin.params["c"])
-            assert sides in validate.E0_GRID
             main = e0(BoxGeometry(*sides), field)
             assert abs(main - pin.value) <= 1e-8 * abs(pin.value)
         # one box stays live, so the oracle still reproduces its pin
@@ -169,15 +173,31 @@ class TestFixtures:
     def test_roundtrip_via_file(self, tmp_path):
         src = validate.load_fixtures()
         path = tmp_path / "fixtures.txt"
-        lines = []
-        for f in src:
-            parts = [f.name, f"kind={f.kind}"]
-            parts += [f"{k}={v:.17g}" for k, v in f.params.items()]
-            parts += [f"cutoff={f.cutoff}", f"value={f.value:.17g}", f"tol={f.tol:g}"]
-            lines.append(" ".join(parts))
-        path.write_text("\n".join(lines) + "\n")
-        again = validate.load_fixtures(path)
-        assert [(f.name, f.value) for f in again] == [(f.name, f.value) for f in src]
+        path.write_text("".join(validate._fixture_line(f, f.value) + "\n" for f in src))
+        assert validate.load_fixtures(path) == src
+        assert path.read_text() == PACKAGED.read_text()
+
+    def test_regenerated_lines_reproduce_the_file(self):
+        # the cheap lines, each recomputed by its kind's oracle through the
+        # one kind table, print exactly as pinned; regenerate_fixtures runs
+        # the same for every line (about 27 s)
+        lines = {line.split()[0]: line for line in PACKAGED.read_text().splitlines()}
+        cheap = [f for f in validate.load_fixtures() if f.kind in ("X", "Y") or f.name in (
+            "lattice_g_at_1", "bessel_k1_at_1", "bessel_grid_k0_3", "bessel_grid_k1.5_19")]
+        assert len(cheap) == 7
+        for fix in cheap:
+            assert validate._regenerated_line(fix) == lines[fix.name]
+
+    def test_u_pins_are_copied_from_the_benchmark_references(self):
+        # the U pins share no production code: they are the long-double
+        # mode sums of perfbench/references.json, which regeneration copies
+        with open(Path(__file__).resolve().parents[1] / "perfbench" / "references.json") as fh:
+            ops = json.load(fh)["ops"]
+        pins = {f.name: f for f in validate.load_fixtures() if f.kind == "U"}
+        assert pins["u_scalar_cube_2um_300K"].value == ops["thermo:scalar:cube:300K"]["U"]["value"]
+        assert pins["u_em_cube_2um_300K"].value == ops["thermo:em:cube:300K"]["U"]["value"]
+        for fix in pins.values():
+            assert validate._regenerated_line(fix) == validate._fixture_line(fix, fix.value)
 
 
 class TestRunChecks:
@@ -189,17 +209,27 @@ class TestRunChecks:
     def test_perturbed_fixture_fails(self, tmp_path):
         src = validate.load_fixtures()
         path = tmp_path / "fixtures.txt"
-        lines = []
-        for f in src:
-            value = f.value * 1.001 if f.name == "lattice_g_at_1" else f.value
-            parts = [f.name, f"kind={f.kind}"]
-            parts += [f"{k}={v:.17g}" for k, v in f.params.items()]
-            parts += [f"cutoff={f.cutoff}", f"value={value:.17g}", f"tol={f.tol:g}"]
-            lines.append(" ".join(parts))
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("".join(
+            validate._fixture_line(f, f.value * 1.001 if f.name == "lattice_g_at_1" else f.value)
+            + "\n" for f in src))
         results = validate.run_checks(fixtures_path=path)
         failed = [r.name for r in results if not r.passed]
         assert failed == ["fixture:lattice_g_at_1"]
+
+    def test_each_pin_moved_by_ten_tols_fails_alone(self, tmp_path, monkeypatch):
+        # production values once, no oracle: each pin moved by 10 times its
+        # tol fails its own check and no other
+        fixtures = validate.load_fixtures()
+        actual = {f.name: validate._fixture_actual(f) for f in fixtures}
+        monkeypatch.setattr(validate, "_fixture_actual", lambda fix: actual[fix.name])
+        path = tmp_path / "fixtures.txt"
+        for moved in fixtures:
+            path.write_text("".join(
+                validate._fixture_line(f, f.value * (1.0 + 10.0 * f.tol) if f is moved else f.value)
+                + "\n" for f in fixtures))
+            results = validate.run_checks("fixture:", path)
+            assert len(results) == len(fixtures)
+            assert [r.name for r in results if not r.passed] == [f"fixture:{moved.name}"]
 
     @pytest.mark.parametrize("field", [FieldKind.SCALAR_DIRICHLET, FieldKind.ELECTROMAGNETIC])
     @pytest.mark.parametrize("pin", [0, 1], ids=["c1", "c0"])
